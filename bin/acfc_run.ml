@@ -89,26 +89,17 @@ let store_dir =
   in
   Arg.(value & opt (some string) None & info [ "store" ] ~env:store_env ~docv:"DIR" ~doc)
 
-let open_store_opt = function
-  | None -> None
-  | Some dir ->
-    (match Store.open_ dir with
-    | Ok s -> Some s
-    | Error msg ->
-      prerr_endline ("acfc-run: " ^ msg);
-      exit 1)
+let or_die = function
+  | Ok v -> v
+  | Error msg ->
+    prerr_endline ("acfc-run: " ^ msg);
+    exit 1
+
+let open_store_opt = Option.map (fun dir -> or_die (Store.open_ dir))
 
 let open_store_req = function
-  | Some dir ->
-    (match Store.open_ dir with
-    | Ok s -> s
-    | Error msg ->
-      prerr_endline ("acfc-run: " ^ msg);
-      exit 1)
-  | None ->
-    prerr_endline
-      "acfc-run: no store directory (pass --store DIR or set ACFC_STORE)";
-    exit 1
+  | Some dir -> or_die (Store.open_ dir)
+  | None -> or_die (Error "no store directory (pass --store DIR or set ACFC_STORE)")
 
 let report_outcome ppf what = function
   | Store.Created e ->
@@ -120,11 +111,7 @@ let report_outcome ppf what = function
 
 (* Implicit ingestion (a run that also happens to carry --store) is a
    status notice: stderr, so golden stdout comparisons stay exact. *)
-let ingest_or_die ?(ppf = Format.err_formatter) what = function
-  | Ok outcome -> report_outcome ppf what outcome
-  | Error msg ->
-    prerr_endline ("acfc-run: " ^ msg);
-    exit 1
+let ingest_or_die ?(ppf = Format.err_formatter) what r = report_outcome ppf what (or_die r)
 
 (* Ingest a scenario's canonical bytes under its hash label. *)
 let ingest_scenario store scenario =
@@ -202,10 +189,7 @@ let make_obs (spec : Scenario.obs_spec) =
         let snapshot =
           Obs.Metrics.snapshot (Obs.Sink.metrics sink) ~now:(Obs.Sink.now sink)
         in
-        let oc = open_out path in
-        Fun.protect ~finally:(fun () -> close_out oc) (fun () ->
-            output_string oc (Obs.Json.to_string snapshot);
-            output_char oc '\n');
+        Obs.Json.write_file path (Obs.Json.to_string snapshot ^ "\n");
         Format.printf "metrics: snapshot -> %s@." path);
       (match !channel with
       | Some oc ->
@@ -322,32 +306,28 @@ let check_flag =
 
 let scenario_cmd =
   let go dump inline check jobs store monitor_out monitor_every file =
-    match Scenario.load file with
-    | Error msg ->
-      prerr_endline ("acfc-run: " ^ msg);
-      exit 1
-    | Ok scenario ->
-      let scenario = if inline then Scenario.inline_workloads scenario else scenario in
-      if check then begin
-        Format.printf "%s: ok; %d workloads, %d disks; hash %s@." file
-          (List.length scenario.Scenario.workloads)
-          (List.length scenario.Scenario.disks)
-          (Scenario.hash scenario);
-        match scenario.Scenario.fleet with
-        | None -> ()
-        | Some f ->
-          Format.printf "fleet: %d clients, %d shared files, lookahead %g ms@."
-            f.Scenario.clients f.Scenario.shared_files
-            (Scenario.fleet_lookahead_ms f)
-      end
-      else begin
-        maybe_dump scenario dump;
-        Option.iter (fun s -> ingest_scenario s scenario) (open_store_opt store);
-        let monitor = Option.map (fun path -> (path, monitor_every)) monitor_out in
-        match scenario.Scenario.fleet with
-        | Some _ -> ignore (execute_fleet ?jobs ?monitor scenario)
-        | None -> ignore (execute_scenario ?monitor scenario)
-      end
+    let scenario = or_die (Scenario.load file) in
+    let scenario = if inline then Scenario.inline_workloads scenario else scenario in
+    if check then begin
+      Format.printf "%s: ok; %d workloads, %d disks; hash %s@." file
+        (List.length scenario.Scenario.workloads)
+        (List.length scenario.Scenario.disks)
+        (Scenario.hash scenario);
+      match scenario.Scenario.fleet with
+      | None -> ()
+      | Some f ->
+        Format.printf "fleet: %d clients, %d shared files, lookahead %g ms@."
+          f.Scenario.clients f.Scenario.shared_files
+          (Scenario.fleet_lookahead_ms f)
+    end
+    else begin
+      maybe_dump scenario dump;
+      Option.iter (fun s -> ingest_scenario s scenario) (open_store_opt store);
+      let monitor = Option.map (fun path -> (path, monitor_every)) monitor_out in
+      match scenario.Scenario.fleet with
+      | Some _ -> ignore (execute_fleet ?jobs ?monitor scenario)
+      | None -> ignore (execute_scenario ?monitor scenario)
+    end
   in
   let term =
     Term.(
@@ -381,21 +361,15 @@ let scenario_cmd =
 
 (* A workload IR source: a catalog application name, or a file holding
    an acfc-wir/1 JSON document. *)
-let load_program src =
+let load_program ?file_blocks src =
   if Sys.file_exists src then Wir.load src
   else
-    match Catalog.resolve src with
+    match Catalog.resolve ?file_blocks src with
     | Error msg -> Error ("workload: " ^ msg)
     | Ok entry ->
       (match Acfc_workload.App.program entry.Catalog.app with
       | Some p -> Ok p
       | None -> Error (Printf.sprintf "workload: application %S is not an IR program" src))
-
-let or_die = function
-  | Ok v -> v
-  | Error msg ->
-    prerr_endline ("acfc-run: " ^ msg);
-    exit 1
 
 let workload_src =
   let doc = "A catalog application name (cs1, din, read300!, …) or an acfc-wir/1 JSON file." in
@@ -411,18 +385,7 @@ let workload_dump_cmd =
     Arg.(value & opt (some int) None & info [ "file-blocks" ] ~docv:"N" ~doc)
   in
   let go file_blocks out src =
-    let program =
-      if Sys.file_exists src then or_die (Wir.load src)
-      else
-        or_die
-          (match Catalog.resolve ?file_blocks src with
-          | Error msg -> Error ("workload: " ^ msg)
-          | Ok entry ->
-            (match Acfc_workload.App.program entry.Catalog.app with
-            | Some p -> Ok p
-            | None ->
-              Error (Printf.sprintf "workload: application %S is not an IR program" src)))
-    in
+    let program = or_die (load_program ?file_blocks src) in
     match out with
     | Some path -> Wir.save program path
     | None -> print_endline (Wir.to_string program)
@@ -444,11 +407,8 @@ let describe_program program =
 let workload_validate_cmd =
   let go src =
     let program = or_die (load_program src) in
-    match Wir.validate program with
-    | Error msg ->
-      prerr_endline ("acfc-run: " ^ msg);
-      exit 1
-    | Ok () -> describe_program program
+    or_die (Wir.validate program);
+    describe_program program
   in
   let term = Term.(const go $ workload_src) in
   let info =
@@ -663,10 +623,7 @@ let wirgen_fuzz_cmd =
               | None -> None
               | Some doc ->
                 let path = Filename.concat d (Printf.sprintf "failure-%03d.json" i) in
-                let oc = open_out path in
-                Fun.protect ~finally:(fun () -> close_out oc) (fun () ->
-                    output_string oc doc;
-                    output_char oc '\n');
+                Obs.Json.write_file path (doc ^ "\n");
                 Some path
             in
             let open Obs.Json in
@@ -698,8 +655,9 @@ let wirgen_fuzz_cmd =
       ~doc:
         "Property-fuzz the wir toolchain: generated programs must validate and \
          execute, their fast-forwarded reference stream must equal the recorded \
-         demand stream, the codec must round-trip, and corrupted programs must \
-         be rejected with a \\$.path diagnostic"
+         demand stream, the codec must round-trip, and corrupted programs, \
+         scenarios, specs and store manifests must be rejected with a \\$.path \
+         diagnostic"
   in
   Cmd.v info term
 
@@ -952,11 +910,7 @@ let store_add_cmd =
   in
   let go store kind label file =
     let s = open_store_req store in
-    let ic = open_in_bin file in
-    let content =
-      Fun.protect ~finally:(fun () -> close_in ic) (fun () ->
-          really_input_string ic (in_channel_length ic))
-    in
+    let content = or_die (Obs.Json.read_file file) in
     ingest_or_die ~ppf:Format.std_formatter file (Store.add s ~kind ?label content)
   in
   let term = Term.(const go $ store_dir $ kind_arg $ label_arg $ file) in
@@ -1015,9 +969,7 @@ let store_get_cmd =
     match out with
     | None -> print_string content
     | Some path ->
-      let oc = open_out_bin path in
-      Fun.protect ~finally:(fun () -> close_out oc) (fun () ->
-          output_string oc content);
+      Obs.Json.write_file path content;
       Format.printf "%s/%s -> %s (%d bytes)@." (Kind.to_string kind) digest path
         (String.length content)
   in
@@ -1124,18 +1076,13 @@ let monitor_cmd =
   in
   let go poll timeout file =
     let r = Obs.Monitor.renderer () in
-    match
-      Obs.Monitor.follow ~path:file ~poll_s:poll ~timeout_s:timeout
-        ~on_event:(fun event ->
-          Obs.Monitor.render r Format.std_formatter event;
-          Format.pp_print_flush Format.std_formatter ();
-          `Continue)
-        ()
-    with
-    | Ok () -> ()
-    | Error msg ->
-      prerr_endline ("acfc-run: " ^ msg);
-      exit 1
+    or_die
+      (Obs.Monitor.follow ~path:file ~poll_s:poll ~timeout_s:timeout
+         ~on_event:(fun event ->
+           Obs.Monitor.render r Format.std_formatter event;
+           Format.pp_print_flush Format.std_formatter ();
+           `Continue)
+         ())
   in
   let term = Term.(const go $ poll $ timeout $ file) in
   let info =

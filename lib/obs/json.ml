@@ -220,8 +220,13 @@ let member name = function
 
 let to_num = function Num x -> Some x | _ -> None
 
+(* [min_int] is -2^62, exact as a float; every integral float in
+   [-2^62, 2^62) converts without wrapping. *)
+let int_bound = -.Float.of_int min_int
+
 let to_int = function
-  | Num x when Float.is_integer x -> Some (int_of_float x)
+  | Num x when Float.is_integer x && x >= -.int_bound && x < int_bound ->
+    Some (int_of_float x)
   | _ -> None
 
 let to_str = function Str s -> Some s | _ -> None
@@ -229,3 +234,133 @@ let to_str = function Str s -> Some s | _ -> None
 let to_bool = function Bool b -> Some b | _ -> None
 
 let to_list = function List items -> Some items | _ -> None
+
+(* {2 Files} *)
+
+let read_file path =
+  match
+    let ic = open_in_bin path in
+    Fun.protect
+      ~finally:(fun () -> close_in ic)
+      (fun () -> really_input_string ic (in_channel_length ic))
+  with
+  | contents -> Ok contents
+  | exception Sys_error e -> Error e
+
+let write_file path contents =
+  let tmp =
+    Filename.temp_file ~temp_dir:(Filename.dirname path) (Filename.basename path) ".tmp"
+  in
+  match
+    let oc = open_out_bin tmp in
+    Fun.protect
+      ~finally:(fun () -> close_out oc)
+      (fun () -> output_string oc contents);
+    Unix.chmod tmp 0o644;
+    Sys.rename tmp path
+  with
+  | () -> ()
+  | exception e ->
+    (try Sys.remove tmp with Sys_error _ -> ());
+    raise e
+
+(* {2 Strict decoding} *)
+
+module Decode = struct
+  type json = t
+
+  type error = string * string
+
+  type 'a t = path:string -> json -> ('a, error) result
+
+  let ( let* ) = Result.bind
+
+  let fail path msg = Error (path, msg)
+
+  let int ~path v =
+    match to_int v with Some n -> Ok n | None -> fail path "expected an integer"
+
+  let num ~path = function Num x -> Ok x | _ -> fail path "expected a number"
+
+  let str ~path = function Str s -> Ok s | _ -> fail path "expected a string"
+
+  let bool ~path = function Bool b -> Ok b | _ -> fail path "expected a boolean"
+
+  let list ?(what = "a list") item ~path = function
+    | List items ->
+      let rec go i acc = function
+        | [] -> Ok (List.rev acc)
+        | x :: rest ->
+          let* v = item ~path:(Printf.sprintf "%s[%d]" path i) x in
+          go (i + 1) (v :: acc) rest
+      in
+      go 0 [] items
+    | _ -> fail path ("expected " ^ what)
+
+  let conv f d ~path j =
+    let* v = d ~path j in
+    Result.map_error (fun msg -> (path, msg)) (f v)
+
+  type obj = { path : string; members : (string * json) list }
+
+  let obj ?(what = "an object") f ~path = function
+    | Obj members ->
+      let rec dups seen = function
+        | [] -> f { path; members }
+        | (k, _) :: rest ->
+          if List.mem k seen then fail path (Printf.sprintf "duplicate field %S" k)
+          else dups (k :: seen) rest
+      in
+      dups [] members
+    | _ -> fail path ("expected " ^ what)
+
+  let known o names =
+    match List.find_opt (fun (k, _) -> not (List.mem k names)) o.members with
+    | None -> Ok ()
+    | Some (k, _) -> fail o.path (Printf.sprintf "unknown field %S" k)
+
+  let record ?what names f =
+    obj ?what (fun o ->
+        let* () = known o names in
+        f o)
+
+  let path o = o.path
+
+  let at o name = o.path ^ "." ^ name
+
+  let mem o name = List.mem_assoc name o.members
+
+  let opt o name d =
+    match List.assoc_opt name o.members with
+    | None -> Ok None
+    | Some v -> Result.map Option.some (d ~path:(at o name) v)
+
+  let default o name d v = Result.map (Option.value ~default:v) (opt o name d)
+
+  let req o name d =
+    match List.assoc_opt name o.members with
+    | None -> fail o.path (Printf.sprintf "missing required field %S" name)
+    | Some v -> d ~path:(at o name) v
+
+  let schema o expected =
+    let* s = req o "schema" str in
+    if s = expected then Ok ()
+    else
+      fail (at o "schema")
+        (Printf.sprintf "unsupported schema %S (expected %s)" s expected)
+
+  let label name =
+    Result.map_error (fun (path, msg) -> Printf.sprintf "%s: %s at %s" name msg path)
+
+  let run ~label:name d j = label name (d ~path:"$" j)
+
+  let of_string ~label:name d s =
+    match of_string s with
+    | Error e -> Error (name ^ ": invalid JSON: " ^ e)
+    | Ok j -> run ~label:name d j
+
+  let load ~label:name d path =
+    match read_file path with
+    | Error e -> Error (name ^ ": " ^ e)
+    | Ok s -> of_string ~label:name d s
+end

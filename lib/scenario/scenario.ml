@@ -7,7 +7,7 @@ module Bus = Acfc_disk.Bus
 module Disk = Acfc_disk.Disk
 module Params = Acfc_disk.Params
 module App = Acfc_workload.App
-module Env = Acfc_workload.Env
+module Env = Acfc_wir.Env
 module Runner = Acfc_workload.Runner
 module Spec = Runner.Spec
 module Json = Acfc_obs.Json
@@ -684,452 +684,264 @@ let to_json t =
 
 (* {3 Parsing} *)
 
+module D = Json.Decode
+
 let ( let* ) = Result.bind
 
-let err path msg = Error (Printf.sprintf "scenario: %s at %s" msg path)
+(* A string member drawn from a fixed vocabulary. *)
+let enum of_string unknown =
+  D.conv (fun s -> Option.to_result ~none:(unknown s) (of_string s)) D.str
 
-let fields ~path ~known j =
-  match j with
-  | Json.Obj members ->
-    let* () =
-      List.fold_left
-        (fun acc (k, _) ->
-          let* () = acc in
-          if List.mem k known then Ok ()
-          else err path (Printf.sprintf "unknown field %S" k))
-        (Ok ()) members
-    in
-    Ok members
-  | _ -> err path "expected an object"
+let decode_revocation =
+  D.record [ "min_decisions"; "mistake_ratio" ] (fun o ->
+      let* min_decisions = D.req o "min_decisions" D.int in
+      let* mistake_ratio = D.req o "mistake_ratio" D.num in
+      Ok { Config.min_decisions; mistake_ratio })
 
-let field name members = List.assoc_opt name members
+let decode_cache =
+  D.record
+    [
+      "capacity_blocks";
+      "alloc_policy";
+      "max_managers";
+      "max_levels";
+      "max_file_records";
+      "max_placeholders";
+      "revocation";
+      "shared_files";
+    ]
+    (fun o ->
+      let* capacity_blocks = D.req o "capacity_blocks" D.int in
+      let* alloc_policy =
+        D.default o "alloc_policy"
+          (enum Config.alloc_policy_of_string
+             (Printf.sprintf
+                "unknown allocation policy %S (expected global-lru, alloc-lru, lru-s, \
+                 lru-sp or clock-sp)"))
+          Config.Lru_sp
+      in
+      let* max_managers = D.opt o "max_managers" D.int in
+      let* max_levels = D.opt o "max_levels" D.int in
+      let* max_file_records = D.opt o "max_file_records" D.int in
+      let* max_placeholders = D.opt o "max_placeholders" D.int in
+      let* revocation = D.opt o "revocation" decode_revocation in
+      let* shared_files =
+        D.opt o "shared_files"
+          (enum shared_files_of_string
+             (Printf.sprintf
+                "unknown shared_files mode %S (expected transfer or sticky)"))
+      in
+      try
+        Ok
+          (Config.make ~alloc_policy ?max_managers ?max_levels ?max_file_records
+             ?max_placeholders ?revocation ?shared_files ~capacity_blocks ())
+      with Invalid_argument m -> D.fail (D.path o) m)
 
-let require ~path name members =
-  match field name members with
-  | Some v -> Ok v
-  | None -> err path (Printf.sprintf "missing required field %S" name)
-
-let as_int ~path = function
-  | Json.Num _ as v ->
-    (match Json.to_int v with
-    | Some n -> Ok n
-    | None -> err path "expected an integer")
-  | _ -> err path "expected an integer"
-
-let as_num ~path = function
-  | Json.Num x -> Ok x
-  | _ -> err path "expected a number"
-
-let as_str ~path = function
-  | Json.Str s -> Ok s
-  | _ -> err path "expected a string"
-
-let as_bool ~path = function
-  | Json.Bool b -> Ok b
-  | _ -> err path "expected a boolean"
-
-let as_list ~path = function
-  | Json.List l -> Ok l
-  | _ -> err path "expected a list"
-
-let opt_field ~path name conv members =
-  match field name members with
-  | None -> Ok None
-  | Some v ->
-    let* v = conv ~path:(path ^ "." ^ name) v in
-    Ok (Some v)
-
-(* Fold a parser over list elements with indexed paths. *)
-let mapi_result ~path f l =
-  let rec go i acc = function
-    | [] -> Ok (List.rev acc)
-    | x :: rest ->
-      let* v = f ~path:(Printf.sprintf "%s[%d]" path i) x in
-      go (i + 1) (v :: acc) rest
-  in
-  go 0 [] l
-
-let parse_revocation ~path j =
-  let* members = fields ~path ~known:[ "min_decisions"; "mistake_ratio" ] j in
-  let* md = require ~path "min_decisions" members in
-  let* min_decisions = as_int ~path:(path ^ ".min_decisions") md in
-  let* mr = require ~path "mistake_ratio" members in
-  let* mistake_ratio = as_num ~path:(path ^ ".mistake_ratio") mr in
-  Ok { Config.min_decisions; mistake_ratio }
-
-let parse_cache ~path j =
-  let* members =
-    fields ~path
-      ~known:
-        [
-          "capacity_blocks";
-          "alloc_policy";
-          "max_managers";
-          "max_levels";
-          "max_file_records";
-          "max_placeholders";
-          "revocation";
-          "shared_files";
-        ]
-      j
-  in
-  let* cb = require ~path "capacity_blocks" members in
-  let* capacity_blocks = as_int ~path:(path ^ ".capacity_blocks") cb in
-  let* alloc_policy =
-    match field "alloc_policy" members with
-    | None -> Ok Config.Lru_sp
-    | Some v ->
-      let path = path ^ ".alloc_policy" in
-      let* s = as_str ~path v in
-      (match Config.alloc_policy_of_string s with
-      | Some p -> Ok p
-      | None ->
-        err path
-          (Printf.sprintf
-             "unknown allocation policy %S (expected global-lru, alloc-lru, lru-s, \
-              lru-sp or clock-sp)"
-             s))
-  in
-  let* max_managers = opt_field ~path "max_managers" as_int members in
-  let* max_levels = opt_field ~path "max_levels" as_int members in
-  let* max_file_records = opt_field ~path "max_file_records" as_int members in
-  let* max_placeholders = opt_field ~path "max_placeholders" as_int members in
-  let* revocation = opt_field ~path "revocation" parse_revocation members in
-  let* shared_files =
-    match field "shared_files" members with
-    | None -> Ok None
-    | Some v ->
-      let path = path ^ ".shared_files" in
-      let* s = as_str ~path v in
-      (match shared_files_of_string s with
-      | Some sf -> Ok (Some sf)
-      | None ->
-        err path (Printf.sprintf "unknown shared_files mode %S (expected transfer or sticky)" s))
-  in
-  try
-    Ok
-      (Config.make ~alloc_policy ?max_managers ?max_levels ?max_file_records
-         ?max_placeholders ?revocation ?shared_files ~capacity_blocks ())
-  with Invalid_argument m -> err path m
-
-let parse_drive ~path j =
-  match j with
+let decode_drive ~path = function
   | Json.Str name ->
     (match List.assoc_opt name named_drives with
     | Some p -> Ok p
     | None ->
-      err path
+      D.fail path
         (Printf.sprintf "unknown drive %S (expected rz56, rz26 or a parameter object)"
            name))
-  | Json.Obj _ ->
-    let* members =
-      fields ~path
-        ~known:
-          [
-            "name";
-            "capacity_blocks";
-            "min_seek_ms";
-            "avg_seek_ms";
-            "max_seek_ms";
-            "avg_rot_ms";
-            "transfer_mb_per_s";
-            "overhead_ms";
-            "seq_rot_factor";
-          ]
-        j
-    in
-    let str name =
-      let* v = require ~path name members in
-      as_str ~path:(path ^ "." ^ name) v
-    in
-    let int name =
-      let* v = require ~path name members in
-      as_int ~path:(path ^ "." ^ name) v
-    in
-    let num name =
-      let* v = require ~path name members in
-      as_num ~path:(path ^ "." ^ name) v
-    in
-    let* name = str "name" in
-    let* capacity_blocks = int "capacity_blocks" in
-    let* min_seek_ms = num "min_seek_ms" in
-    let* avg_seek_ms = num "avg_seek_ms" in
-    let* max_seek_ms = num "max_seek_ms" in
-    let* avg_rot_ms = num "avg_rot_ms" in
-    let* transfer_mb_per_s = num "transfer_mb_per_s" in
-    let* overhead_ms = num "overhead_ms" in
-    let* seq_rot_factor = num "seq_rot_factor" in
-    Ok
-      {
-        Params.name;
-        capacity_blocks;
-        min_seek_ms;
-        avg_seek_ms;
-        max_seek_ms;
-        avg_rot_ms;
-        transfer_mb_per_s;
-        overhead_ms;
-        seq_rot_factor;
-      }
-  | _ -> err path "expected a drive name or parameter object"
+  | Json.Obj _ as j ->
+    D.record
+      [
+        "name";
+        "capacity_blocks";
+        "min_seek_ms";
+        "avg_seek_ms";
+        "max_seek_ms";
+        "avg_rot_ms";
+        "transfer_mb_per_s";
+        "overhead_ms";
+        "seq_rot_factor";
+      ]
+      (fun o ->
+        let num name = D.req o name D.num in
+        let* name = D.req o "name" D.str in
+        let* capacity_blocks = D.req o "capacity_blocks" D.int in
+        let* min_seek_ms = num "min_seek_ms" in
+        let* avg_seek_ms = num "avg_seek_ms" in
+        let* max_seek_ms = num "max_seek_ms" in
+        let* avg_rot_ms = num "avg_rot_ms" in
+        let* transfer_mb_per_s = num "transfer_mb_per_s" in
+        let* overhead_ms = num "overhead_ms" in
+        let* seq_rot_factor = num "seq_rot_factor" in
+        Ok
+          {
+            Params.name;
+            capacity_blocks;
+            min_seek_ms;
+            avg_seek_ms;
+            max_seek_ms;
+            avg_rot_ms;
+            transfer_mb_per_s;
+            overhead_ms;
+            seq_rot_factor;
+          })
+      ~path j
+  | _ -> D.fail path "expected a drive name or parameter object"
 
-let parse_disk ~path j =
-  let* members = fields ~path ~known:[ "drive"; "sched" ] j in
-  let* d = require ~path "drive" members in
-  let* params = parse_drive ~path:(path ^ ".drive") d in
-  let* sched =
-    match field "sched" members with
-    | None -> Ok Disk.Fcfs
-    | Some v ->
-      let path = path ^ ".sched" in
-      let* s = as_str ~path v in
-      (match sched_of_string s with
-      | Some sched -> Ok sched
-      | None ->
-        err path (Printf.sprintf "unknown disk scheduler %S (expected fcfs or scan)" s))
-  in
-  Ok { params; sched }
-
-let parse_workload ~n_disks ~path j =
-  let* members =
-    fields ~path ~known:[ "app"; "program"; "smart"; "disk"; "manager"; "file_blocks" ] j
-  in
-  let* file_blocks = opt_field ~path "file_blocks" as_int members in
-  (* A workload is either a catalog name ("app") or an inline workload
-     IR program ("program"), never both. *)
-  let* app, smart_default, disk_default =
-    match (field "app" members, field "program" members) with
-    | Some _, Some _ -> err path {|pass "app" or "program", not both|}
-    | None, None -> err path {|missing required field "app" or "program"|}
-    | Some a, None ->
-      let* name = as_str ~path:(path ^ ".app") a in
-      let* entry =
-        match Catalog.resolve ?file_blocks name with
-        | Ok e -> Ok e
-        | Error msg -> err (path ^ ".app") msg
+let decode_disk =
+  D.record [ "drive"; "sched" ] (fun o ->
+      let* params = D.req o "drive" decode_drive in
+      let* sched =
+        D.default o "sched"
+          (enum sched_of_string
+             (Printf.sprintf "unknown disk scheduler %S (expected fcfs or scan)"))
+          Disk.Fcfs
       in
-      Ok (Named name, entry.Catalog.smart_default, entry.Catalog.disk)
-    | None, Some p ->
-      let path = path ^ ".program" in
+      Ok { params; sched })
+
+let decode_workload ~n_disks =
+  D.record [ "app"; "program"; "smart"; "disk"; "manager"; "file_blocks" ] (fun o ->
+      let* file_blocks = D.opt o "file_blocks" D.int in
+      (* A workload is either a catalog name ("app") or an inline
+         workload IR program ("program"), never both. *)
+      let* app, smart_default, disk_default =
+        match (D.mem o "app", D.mem o "program") with
+        | true, true -> D.fail (D.path o) {|pass "app" or "program", not both|}
+        | false, false -> D.fail (D.path o) {|missing required field "app" or "program"|}
+        | true, false ->
+          let* name = D.req o "app" D.str in
+          (match Catalog.resolve ?file_blocks name with
+          | Ok entry -> Ok (Named name, entry.Catalog.smart_default, entry.Catalog.disk)
+          | Error msg -> D.fail (D.at o "app") msg)
+        | false, true ->
+          let path = D.at o "program" in
+          let* () =
+            if file_blocks = None then Ok ()
+            else D.fail path "an inline program does not take file_blocks"
+          in
+          let* program = D.req o "program" Wir.decoder in
+          let* () = Wir.check ~path program in
+          Ok (Inline program, true, 0)
+      in
+      let* smart = D.default o "smart" D.bool smart_default in
+      let* disk = D.default o "disk" D.int disk_default in
+      let* manager = D.opt o "manager" D.str in
+      (* The registry's own message (valid names, near-match suggestion)
+         is surfaced verbatim under this workload's manager path. *)
       let* () =
-        if file_blocks = None then Ok ()
-        else err path "an inline program does not take file_blocks"
+        match check_manager manager with
+        | Ok () -> Ok ()
+        | Error msg -> D.fail (D.at o "manager") msg
       in
-      let* program = Wir.of_json_at ~label:"scenario" ~path p in
-      let* () = Wir.validate_at ~label:"scenario" ~path program in
-      Ok (Inline program, true, 0)
-  in
-  let* smart =
-    match field "smart" members with
-    | None -> Ok smart_default
-    | Some v -> as_bool ~path:(path ^ ".smart") v
-  in
-  let* disk =
-    match field "disk" members with
-    | None -> Ok disk_default
-    | Some v -> as_int ~path:(path ^ ".disk") v
-  in
-  let* manager = opt_field ~path "manager" as_str members in
-  (* The registry's own message (valid names, near-match suggestion)
-     is surfaced verbatim under this workload's manager path. *)
-  let* () =
-    match check_manager manager with
-    | Ok () -> Ok ()
-    | Error msg -> err (path ^ ".manager") msg
-  in
-  if disk < 0 || disk >= n_disks then
-    err (path ^ ".disk")
-      (Printf.sprintf "disk index %d out of range (%d disk%s)" disk n_disks
-         (if n_disks = 1 then "" else "s"))
-  else Ok { app; smart; disk; file_blocks; manager }
+      if disk < 0 || disk >= n_disks then
+        D.fail (D.at o "disk")
+          (Printf.sprintf "disk index %d out of range (%d disk%s)" disk n_disks
+             (if n_disks = 1 then "" else "s"))
+      else Ok { app; smart; disk; file_blocks; manager })
 
-let parse_obs ~path j =
-  let* members = fields ~path ~known:[ "trace"; "metrics" ] j in
-  let* trace_path = opt_field ~path "trace" as_str members in
-  let* metrics_path = opt_field ~path "metrics" as_str members in
-  Ok { trace_path; metrics_path }
+let decode_obs =
+  D.record [ "trace"; "metrics" ] (fun o ->
+      let* trace_path = D.opt o "trace" D.str in
+      let* metrics_path = D.opt o "metrics" D.str in
+      Ok { trace_path; metrics_path })
 
-let parse_link_fields ~path members =
-  let* v = require ~path "latency_ms" members in
-  let* latency_ms = as_num ~path:(path ^ ".latency_ms") v in
-  let* v = require ~path "bandwidth_mb_per_s" members in
-  let* bandwidth_mb_per_s = as_num ~path:(path ^ ".bandwidth_mb_per_s") v in
+let link_fields = [ "latency_ms"; "bandwidth_mb_per_s" ]
+
+let decode_link o =
+  let* latency_ms = D.req o "latency_ms" D.num in
+  let* bandwidth_mb_per_s = D.req o "bandwidth_mb_per_s" D.num in
   Ok { latency_ms; bandwidth_mb_per_s }
 
-let parse_fleet ~path j =
-  let* members =
-    fields ~path
-      ~known:
-        [ "clients"; "shared_files"; "server"; "network"; "links"; "lookahead_ms" ]
-      j
-  in
-  let* v = require ~path "clients" members in
-  let* clients = as_int ~path:(path ^ ".clients") v in
-  let* shared_files =
-    match field "shared_files" members with
-    | None -> Ok 0
-    | Some v -> as_int ~path:(path ^ ".shared_files") v
-  in
-  let* s = require ~path "server" members in
-  let* server =
-    let path = path ^ ".server" in
-    let* members = fields ~path ~known:[ "cache_blocks"; "drive" ] s in
-    let* v = require ~path "cache_blocks" members in
-    let* server_cache_blocks = as_int ~path:(path ^ ".cache_blocks") v in
-    let* v = require ~path "drive" members in
-    let* server_drive = parse_drive ~path:(path ^ ".drive") v in
-    Ok { server_cache_blocks; server_drive }
-  in
-  let* n = require ~path "network" members in
-  let* net =
-    let path = path ^ ".network" in
-    let* members = fields ~path ~known:[ "latency_ms"; "bandwidth_mb_per_s" ] n in
-    parse_link_fields ~path members
-  in
-  let* links =
-    match field "links" members with
-    | None -> Ok []
-    | Some v ->
-      let path = path ^ ".links" in
-      let* l = as_list ~path v in
-      mapi_result ~path
-        (fun ~path j ->
-          let* members =
-            fields ~path ~known:[ "client"; "latency_ms"; "bandwidth_mb_per_s" ] j
-          in
-          let* v = require ~path "client" members in
-          let* client = as_int ~path:(path ^ ".client") v in
-          let* link = parse_link_fields ~path members in
-          Ok (client, link))
-        l
-  in
-  let* lookahead_ms = opt_field ~path "lookahead_ms" as_num members in
-  let f =
-    { clients; shared_files; server; net; links; lookahead_ms }
-  in
-  match fleet_check f with
-  | Ok () -> Ok f
-  | Error (sub, msg) -> err (path ^ sub) msg
-
-let of_json j =
-  let path = "$" in
-  let* members =
-    fields ~path
-      ~known:
-        [ "schema"; "seed"; "cache"; "cpu"; "fs"; "disks"; "workloads"; "fleet"; "obs" ]
-      j
-  in
-  let* s = require ~path "schema" members in
-  let* schema_str = as_str ~path:"$.schema" s in
-  let* () =
-    if schema_str = schema then Ok ()
-    else
-      err "$.schema"
-        (Printf.sprintf "unsupported schema %S (expected %s)" schema_str schema)
-  in
-  let* seed =
-    match field "seed" members with
-    | None -> Ok 0
-    | Some v -> as_int ~path:"$.seed" v
-  in
-  let* c = require ~path "cache" members in
-  let* config = parse_cache ~path:"$.cache" c in
-  let* hit_cost, io_cpu_cost =
-    match field "cpu" members with
-    | None -> Ok (None, None)
-    | Some v ->
-      let path = "$.cpu" in
-      let* members = fields ~path ~known:[ "hit_cost"; "io_cpu_cost" ] v in
-      let* hit_cost = opt_field ~path "hit_cost" as_num members in
-      let* io_cpu_cost = opt_field ~path "io_cpu_cost" as_num members in
-      Ok (hit_cost, io_cpu_cost)
-  in
-  let* readahead, write_cluster, scattered_layout, update_interval =
-    match field "fs" members with
-    | None -> Ok (None, None, false, 30.0)
-    | Some v ->
-      let path = "$.fs" in
-      let* members =
-        fields ~path
-          ~known:[ "readahead"; "write_cluster"; "scattered_layout"; "update_interval_s" ]
-          v
+let decode_fleet =
+  D.record
+    [ "clients"; "shared_files"; "server"; "network"; "links"; "lookahead_ms" ]
+    (fun o ->
+      let* clients = D.req o "clients" D.int in
+      let* shared_files = D.default o "shared_files" D.int 0 in
+      let* server =
+        D.req o "server"
+          (D.record [ "cache_blocks"; "drive" ] (fun o ->
+               let* server_cache_blocks = D.req o "cache_blocks" D.int in
+               let* server_drive = D.req o "drive" decode_drive in
+               Ok { server_cache_blocks; server_drive }))
       in
-      let* readahead = opt_field ~path "readahead" as_bool members in
-      let* write_cluster = opt_field ~path "write_cluster" as_int members in
-      let* scattered = opt_field ~path "scattered_layout" as_bool members in
-      let* interval = opt_field ~path "update_interval_s" as_num members in
+      let* net = D.req o "network" (D.record link_fields decode_link) in
+      let* links =
+        D.default o "links"
+          (D.list
+             (D.record ("client" :: link_fields) (fun o ->
+                  let* client = D.req o "client" D.int in
+                  let* link = decode_link o in
+                  Ok (client, link))))
+          []
+      in
+      let* lookahead_ms = D.opt o "lookahead_ms" D.num in
+      let f = { clients; shared_files; server; net; links; lookahead_ms } in
+      match fleet_check f with
+      | Ok () -> Ok f
+      | Error (sub, msg) -> D.fail (D.path o ^ sub) msg)
+
+let decoder =
+  D.record
+    [ "schema"; "seed"; "cache"; "cpu"; "fs"; "disks"; "workloads"; "fleet"; "obs" ]
+    (fun o ->
+      let* () = D.schema o schema in
+      let* seed = D.default o "seed" D.int 0 in
+      let* config = D.req o "cache" decode_cache in
+      let* hit_cost, io_cpu_cost =
+        D.default o "cpu"
+          (D.record [ "hit_cost"; "io_cpu_cost" ] (fun o ->
+               let* hit_cost = D.opt o "hit_cost" D.num in
+               let* io_cpu_cost = D.opt o "io_cpu_cost" D.num in
+               Ok (hit_cost, io_cpu_cost)))
+          (None, None)
+      in
+      let* readahead, write_cluster, scattered_layout, update_interval =
+        D.default o "fs"
+          (D.record
+             [ "readahead"; "write_cluster"; "scattered_layout"; "update_interval_s" ]
+             (fun o ->
+               let* readahead = D.opt o "readahead" D.bool in
+               let* write_cluster = D.opt o "write_cluster" D.int in
+               let* scattered = D.default o "scattered_layout" D.bool false in
+               let* interval = D.default o "update_interval_s" D.num 30.0 in
+               Ok (readahead, write_cluster, scattered, interval)))
+          (None, None, false, 30.0)
+      in
+      let* disks = D.default o "disks" (D.list decode_disk) default_disks in
+      let* () =
+        if disks = [] then D.fail (D.at o "disks") "disks must be non-empty" else Ok ()
+      in
+      let* workloads =
+        D.req o "workloads" (D.list (decode_workload ~n_disks:(List.length disks)))
+      in
+      let* () =
+        if workloads = [] then D.fail (D.at o "workloads") "workloads must be non-empty"
+        else Ok ()
+      in
+      let* fleet = D.opt o "fleet" decode_fleet in
+      let* obs = D.default o "obs" decode_obs no_obs in
       Ok
-        ( readahead,
-          write_cluster,
-          Option.value scattered ~default:false,
-          Option.value interval ~default:30.0 )
-  in
-  let* disks =
-    match field "disks" members with
-    | None -> Ok default_disks
-    | Some v ->
-      let* l = as_list ~path:"$.disks" v in
-      if l = [] then err "$.disks" "disks must be non-empty"
-      else mapi_result ~path:"$.disks" parse_disk l
-  in
-  let* w = require ~path "workloads" members in
-  let* wl = as_list ~path:"$.workloads" w in
-  let* () = if wl = [] then err "$.workloads" "workloads must be non-empty" else Ok () in
-  let* workloads =
-    mapi_result ~path:"$.workloads" (parse_workload ~n_disks:(List.length disks)) wl
-  in
-  let* fleet =
-    match field "fleet" members with
-    | None -> Ok None
-    | Some v ->
-      let* f = parse_fleet ~path:"$.fleet" v in
-      Ok (Some f)
-  in
-  let* obs =
-    match field "obs" members with
-    | None -> Ok no_obs
-    | Some v -> parse_obs ~path:"$.obs" v
-  in
-  Ok
-    {
-      seed;
-      config;
-      update_interval;
-      hit_cost;
-      io_cpu_cost;
-      write_cluster;
-      readahead;
-      scattered_layout;
-      disks;
-      workloads;
-      fleet;
-      obs;
-    }
+        {
+          seed;
+          config;
+          update_interval;
+          hit_cost;
+          io_cpu_cost;
+          write_cluster;
+          readahead;
+          scattered_layout;
+          disks;
+          workloads;
+          fleet;
+          obs;
+        })
+
+let of_json = D.run ~label:"scenario" decoder
 
 let to_string t = Json.to_string (to_json t)
 
-let of_string s =
-  match Json.of_string s with
-  | Error e -> Error ("scenario: invalid JSON: " ^ e)
-  | Ok j -> of_json j
+let of_string = D.of_string ~label:"scenario" decoder
 
-let save t path =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc (to_string t);
-      output_char oc '\n')
+let save t path = Json.write_file path (to_string t ^ "\n")
 
-let load path =
-  match
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  with
-  | exception Sys_error e -> Error ("scenario: " ^ e)
-  | contents -> of_string contents
+let load = D.load ~label:"scenario" decoder
 
 let hash t = Digest.to_hex (Digest.string (to_string t))
 

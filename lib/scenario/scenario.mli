@@ -278,8 +278,10 @@ val to_json : t -> Acfc_obs.Json.t
 
 val of_json : Acfc_obs.Json.t -> (t, string) result
 (** Errors are prefixed ["scenario:"] and name the offending path,
-    e.g. [scenario: unknown field "polcy" at $.cache]. Unknown fields,
-    bad enum values and out-of-range disk indices are all rejected. *)
+    e.g. [scenario: unknown field "polcy" at $.cache]. Unknown or
+    repeated fields, integers outside OCaml's [int] range, bad enum
+    values and out-of-range disk indices are all rejected
+    ({!Acfc_obs.Json.Decode}). *)
 
 val to_string : t -> string
 (** Single-line canonical JSON. *)
@@ -287,7 +289,8 @@ val to_string : t -> string
 val of_string : string -> (t, string) result
 
 val save : t -> string -> unit
-(** Write {!to_string} plus a trailing newline to a file. *)
+(** Write {!to_string} plus a trailing newline to a file, atomically
+    ({!Acfc_obs.Json.write_file}). *)
 
 val load : string -> (t, string) result
 (** Read and parse a scenario file; I/O errors land in [Error] too. *)

@@ -87,23 +87,9 @@ let to_json t =
       ("entries", Json.List (List.map entry_to_json t.entries));
     ]
 
+module D = Json.Decode
+
 let ( let* ) = Result.bind
-
-let err path msg = Error (Printf.sprintf "store: %s at %s" msg path)
-
-let require ~path name members =
-  match List.assoc_opt name members with
-  | Some v -> Ok v
-  | None -> err path (Printf.sprintf "missing required field %S" name)
-
-let as_str ~path = function
-  | Json.Str s -> Ok s
-  | _ -> err path "expected a string"
-
-let as_int ~path v =
-  match Json.to_int v with
-  | Some n -> Ok n
-  | None -> err path "expected an integer"
 
 let is_hex_digest s =
   String.length s = 32
@@ -111,156 +97,76 @@ let is_hex_digest s =
        (function '0' .. '9' | 'a' .. 'f' -> true | _ -> false)
        s
 
-let entry_fields = [ "seq"; "kind"; "digest"; "bytes"; "label" ]
+let non_negative what =
+  D.conv (fun n -> if n >= 0 then Ok n else Error (what ^ " must be non-negative")) D.int
 
-let entry_of_json ~path = function
-  | Json.Obj members ->
-    let* () =
-      let rec check = function
-        | [] -> Ok ()
-        | (k, _) :: rest ->
-          if List.mem k entry_fields then check rest
-          else err path (Printf.sprintf "unknown field %S" k)
+let decode_entry =
+  D.record ~what:"an entry object" [ "seq"; "kind"; "digest"; "bytes"; "label" ] (fun o ->
+      let* seq = D.req o "seq" (non_negative "sequence") in
+      let* kind =
+        D.req o "kind"
+          (D.conv
+             (fun s ->
+               Option.to_result ~none:(Printf.sprintf "unknown artifact kind %S" s)
+                 (Kind.of_string s))
+             D.str)
       in
-      check members
-    in
-    let* seq =
-      let* v = require ~path "seq" members in
-      as_int ~path:(path ^ ".seq") v
-    in
-    let* () =
-      if seq >= 0 then Ok () else err (path ^ ".seq") "sequence must be non-negative"
-    in
-    let* kind =
-      let* v = require ~path "kind" members in
-      let* s = as_str ~path:(path ^ ".kind") v in
-      match Kind.of_string s with
-      | Some k -> Ok k
-      | None -> err (path ^ ".kind") (Printf.sprintf "unknown artifact kind %S" s)
-    in
-    let* digest =
-      let* v = require ~path "digest" members in
-      let* s = as_str ~path:(path ^ ".digest") v in
-      if is_hex_digest s then Ok s
-      else err (path ^ ".digest") "expected 32 lowercase hex characters"
-    in
-    let* bytes =
-      let* v = require ~path "bytes" members in
-      as_int ~path:(path ^ ".bytes") v
-    in
-    let* () =
-      if bytes >= 0 then Ok () else err (path ^ ".bytes") "size must be non-negative"
-    in
-    let* label =
-      match List.assoc_opt "label" members with
-      | None -> Ok None
-      | Some v ->
-        let* s = as_str ~path:(path ^ ".label") v in
-        if s = "" then err (path ^ ".label") "label must be non-empty"
-        else Ok (Some s)
-    in
-    Ok { seq; kind; digest; bytes; label }
-  | _ -> err path "expected an entry object"
+      let* digest =
+        D.req o "digest"
+          (D.conv
+             (fun s ->
+               if is_hex_digest s then Ok s
+               else Error "expected 32 lowercase hex characters")
+             D.str)
+      in
+      let* bytes = D.req o "bytes" (non_negative "size") in
+      let* label =
+        D.opt o "label"
+          (D.conv
+             (fun s -> if s = "" then Error "label must be non-empty" else Ok s)
+             D.str)
+      in
+      Ok { seq; kind; digest; bytes; label })
 
-let known_fields = [ "schema"; "next_seq"; "entries" ]
+let decoder =
+  D.record ~what:"a manifest object" [ "schema"; "next_seq"; "entries" ] (fun o ->
+      let* () = D.schema o schema in
+      let* next_seq = D.req o "next_seq" D.int in
+      let* entries = D.req o "entries" (D.list ~what:"a list of entries" decode_entry) in
+      let err = D.fail (D.at o "entries") in
+      let* () =
+        let rec check prev = function
+          | [] -> Ok ()
+          | e :: rest ->
+            if e.seq <= prev then err "sequence numbers must be strictly increasing"
+            else if e.seq >= next_seq then err "sequence number exceeds next_seq"
+            else check e.seq rest
+        in
+        check (-1) entries
+      in
+      let* () =
+        let seen = Hashtbl.create 16 in
+        let rec check = function
+          | [] -> Ok ()
+          | { label = Some l; digest; kind; _ } :: rest ->
+            (match Hashtbl.find_opt seen l with
+            | Some (k', d') when k' <> kind || not (String.equal d' digest) ->
+              err (Printf.sprintf "label %S bound to two digests" l)
+            | _ ->
+              Hashtbl.replace seen l (kind, digest);
+              check rest)
+          | _ :: rest -> check rest
+        in
+        check entries
+      in
+      Ok { next_seq; entries })
 
-let of_json = function
-  | Json.Obj members ->
-    let* () =
-      let rec check = function
-        | [] -> Ok ()
-        | (k, _) :: rest ->
-          if List.mem k known_fields then check rest
-          else err "$" (Printf.sprintf "unknown field %S" k)
-      in
-      check members
-    in
-    let* s = require ~path:"$" "schema" members in
-    let* schema_str = as_str ~path:"$.schema" s in
-    let* () =
-      if schema_str = schema then Ok ()
-      else
-        err "$.schema"
-          (Printf.sprintf "unsupported schema %S (expected %s)" schema_str schema)
-    in
-    let* next_seq =
-      let* v = require ~path:"$" "next_seq" members in
-      as_int ~path:"$.next_seq" v
-    in
-    let* raw =
-      let* v = require ~path:"$" "entries" members in
-      match v with
-      | Json.List l -> Ok l
-      | _ -> err "$.entries" "expected a list of entries"
-    in
-    let* entries =
-      let rec go i acc = function
-        | [] -> Ok (List.rev acc)
-        | e :: rest ->
-          let path = Printf.sprintf "$.entries[%d]" i in
-          let* e = entry_of_json ~path e in
-          go (i + 1) (e :: acc) rest
-      in
-      go 0 [] raw
-    in
-    let* () =
-      let rec check prev = function
-        | [] -> Ok ()
-        | e :: rest ->
-          if e.seq <= prev then
-            err "$.entries" "sequence numbers must be strictly increasing"
-          else if e.seq >= next_seq then
-            err "$.entries" "sequence number exceeds next_seq"
-          else check e.seq rest
-      in
-      check (-1) entries
-    in
-    let* () =
-      let seen = Hashtbl.create 16 in
-      let rec check = function
-        | [] -> Ok ()
-        | { label = Some l; digest; kind; _ } :: rest ->
-          (match Hashtbl.find_opt seen l with
-          | Some (k', d') when k' <> kind || not (String.equal d' digest) ->
-            err "$.entries" (Printf.sprintf "label %S bound to two digests" l)
-          | _ ->
-            Hashtbl.replace seen l (kind, digest);
-            check rest)
-        | _ :: rest -> check rest
-      in
-      check entries
-    in
-    Ok { next_seq; entries }
-  | _ -> err "$" "expected a manifest object"
+let of_json = D.run ~label:"store" decoder
 
 let to_string t = Json.to_string (to_json t)
 
-let of_string s =
-  match Json.of_string s with
-  | Error e -> Error ("store: invalid JSON: " ^ e)
-  | Ok j -> of_json j
+let of_string = D.of_string ~label:"store" decoder
 
-let save t path =
-  let dir = Filename.dirname path in
-  let tmp = Filename.temp_file ~temp_dir:dir "manifest" ".tmp" in
-  let oc = open_out tmp in
-  (try
-     Fun.protect
-       ~finally:(fun () -> close_out oc)
-       (fun () ->
-         output_string oc (to_string t);
-         output_char oc '\n')
-   with e ->
-     (try Sys.remove tmp with Sys_error _ -> ());
-     raise e);
-  Sys.rename tmp path
+let save t path = Json.write_file path (to_string t ^ "\n")
 
-let load path =
-  match
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  with
-  | exception Sys_error e -> Error ("store: " ^ e)
-  | contents -> of_string contents
+let load = D.load ~label:"store" decoder

@@ -56,12 +56,6 @@ let manifest t =
   | Ok m -> m
   | Error _ -> Manifest.empty
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
 let ( let* ) = Result.bind
 
 (* Stage the bytes under tmp/, re-digest what landed on disk, then
@@ -79,7 +73,7 @@ let publish t ~kind ~digest content =
         Fun.protect
           ~finally:(fun () -> close_out oc)
           (fun () -> output_string oc content);
-        let landed = digest_of (read_file tmp) in
+        let* landed = Result.map digest_of (Acfc_obs.Json.read_file tmp) in
         if not (String.equal landed digest) then
           Error
             (Printf.sprintf
@@ -123,7 +117,7 @@ let read t ~kind ~digest =
     Error
       (Printf.sprintf "store: no %s entry %s" (Kind.to_string kind) digest)
   | Some p ->
-    let content = read_file p in
+    let* content = Acfc_obs.Json.read_file p in
     let actual = digest_of content in
     if String.equal actual digest then Ok content
     else

@@ -92,16 +92,7 @@ let file_count t = List.fold_left count_opens 0 t.ops
 
 let ( let* ) = Result.bind
 
-let fmt ~label = Result.map_error (fun (path, msg) -> Printf.sprintf "%s: %s at %s" label msg path)
-
 type slot = { reserve : int; file_name : string; mutable live : bool }
-
-let iter_result f l =
-  List.fold_left
-    (fun acc x ->
-      let* () = acc in
-      f x)
-    (Ok ()) l
 
 let check ~path t =
   let slots : slot array ref = ref [||] in
@@ -228,7 +219,7 @@ let check ~path t =
   in
   r
 
-let validate_at ~label ~path t = fmt ~label (check ~path t)
+let validate_at ~label ~path t = Json.Decode.label label (check ~path t)
 
 let validate t = validate_at ~label:"wir" ~path:"$" t
 
@@ -414,271 +405,134 @@ let to_json t =
 
 (* {3 Parsing} *)
 
-let err path msg = Error (path, msg)
+module D = Json.Decode
 
-let fields ~path ~known j =
-  match j with
-  | Json.Obj members ->
-    let* () =
-      iter_result
-        (fun (k, _) ->
-          if List.mem k known then Ok ()
-          else err path (Printf.sprintf "unknown field %S" k))
-        members
-    in
-    Ok members
-  | _ -> err path "expected an object"
-
-let field name members = List.assoc_opt name members
-
-let require ~path name members =
-  match field name members with
-  | Some v -> Ok v
-  | None -> err path (Printf.sprintf "missing required field %S" name)
-
-let as_int ~path = function
-  | Json.Num _ as v ->
-    (match Json.to_int v with
-    | Some n -> Ok n
-    | None -> err path "expected an integer")
-  | _ -> err path "expected an integer"
-
-let as_num ~path = function
-  | Json.Num x -> Ok x
-  | _ -> err path "expected a number"
-
-let as_str ~path = function
-  | Json.Str s -> Ok s
-  | _ -> err path "expected a string"
-
-let as_bool ~path = function
-  | Json.Bool b -> Ok b
-  | _ -> err path "expected a boolean"
-
-let as_list ~path = function
-  | Json.List l -> Ok l
-  | _ -> err path "expected a list"
-
-let req_int ~path name members =
-  let* v = require ~path name members in
-  as_int ~path:(path ^ "." ^ name) v
-
-let req_num ~path name members =
-  let* v = require ~path name members in
-  as_num ~path:(path ^ "." ^ name) v
-
-let opt_num ~path ~default name members =
-  match field name members with
-  | None -> Ok default
-  | Some v -> as_num ~path:(path ^ "." ^ name) v
-
-let opt_bool ~path ~default name members =
-  match field name members with
-  | None -> Ok default
-  | Some v -> as_bool ~path:(path ^ "." ^ name) v
-
-let mapi_result ~path f l =
-  let rec go i acc = function
-    | [] -> Ok (List.rev acc)
-    | x :: rest ->
-      let* v = f ~path:(Printf.sprintf "%s[%d]" path i) x in
-      go (i + 1) (v :: acc) rest
-  in
-  go 0 [] l
-
-let parse_advice ~path members =
-  let* kind =
-    let* v = require ~path "kind" members in
-    as_str ~path:(path ^ ".kind") v
-  in
-  let known extra = [ "op"; "kind" ] @ extra in
-  let strict extra =
-    iter_result
-      (fun (k, _) ->
-        if List.mem k (known extra) then Ok ()
-        else err path (Printf.sprintf "unknown field %S" k))
-      members
-  in
+let decode_advice o =
+  let* kind = D.req o "kind" D.str in
+  let strict extra = D.known o ("op" :: "kind" :: extra) in
+  let int name = D.req o name D.int in
   match kind with
   | "priority" ->
     let* () = strict [ "file"; "prio" ] in
-    let* file = req_int ~path "file" members in
-    let* prio = req_int ~path "prio" members in
+    let* file = int "file" in
+    let* prio = int "prio" in
     Ok (Priority { file; prio })
   | "policy" ->
     let* () = strict [ "prio"; "policy" ] in
-    let* prio = req_int ~path "prio" members in
-    let* p =
-      let* v = require ~path "policy" members in
-      as_str ~path:(path ^ ".policy") v
-    in
+    let* prio = int "prio" in
+    let* p = D.req o "policy" D.str in
     (match Policy.of_string p with
     | Some policy -> Ok (Policy { prio; policy })
     | None ->
-      err (path ^ ".policy") (Printf.sprintf "unknown policy %S (expected lru or mru)" p))
+      D.fail (D.at o "policy")
+        (Printf.sprintf "unknown policy %S (expected lru or mru)" p))
   | "temppri" ->
     let* () = strict [ "file"; "first"; "last"; "prio" ] in
-    let* file = req_int ~path "file" members in
-    let* first = req_int ~path "first" members in
-    let* last = req_int ~path "last" members in
-    let* prio = req_int ~path "prio" members in
+    let* file = int "file" in
+    let* first = int "first" in
+    let* last = int "last" in
+    let* prio = int "prio" in
     Ok (Temppri { file; first; last; prio })
   | "done_with" ->
     let* () = strict [ "file"; "index" ] in
-    let* file = req_int ~path "file" members in
-    let* index = req_int ~path "index" members in
+    let* file = int "file" in
+    let* index = int "index" in
     Ok (Done_with { file; index })
   | k ->
-    err (path ^ ".kind")
+    D.fail (D.at o "kind")
       (Printf.sprintf "unknown advice kind %S (expected priority, policy, temppri or done_with)"
          k)
 
-let rec parse_op ~path j =
-  match j with
-  | Json.Obj members ->
-    let* tag =
-      let* v = require ~path "op" members in
-      as_str ~path:(path ^ ".op") v
-    in
-    let strict known =
-      iter_result
-        (fun (k, _) ->
-          if List.mem k ("op" :: known) then Ok ()
-          else err path (Printf.sprintf "unknown field %S" k))
-        members
-    in
-    let rw make =
-      let* () = strict [ "file"; "first"; "count"; "cpu"; "done_with" ] in
-      let* file = req_int ~path "file" members in
-      let* first = req_int ~path "first" members in
-      let* count = req_int ~path "count" members in
-      let* cpu = opt_num ~path ~default:0.0 "cpu" members in
-      let* done_with = opt_bool ~path ~default:false "done_with" members in
-      Ok (make ~file ~first ~count ~cpu ~done_with)
-    in
-    let body name =
-      let* v = require ~path name members in
-      let* l = as_list ~path:(path ^ "." ^ name) v in
-      mapi_result ~path:(path ^ "." ^ name) parse_op l
-    in
-    (match tag with
-    | "open" ->
-      let* () = strict [ "name"; "size_blocks"; "reserve_blocks" ] in
-      let* name =
-        let* v = require ~path "name" members in
-        as_str ~path:(path ^ ".name") v
+let rec decode_op : op D.t =
+ fun ~path j ->
+  D.obj ~what:"an op object"
+    (fun o ->
+      let* tag = D.req o "op" D.str in
+      let strict known = D.known o ("op" :: known) in
+      let int name = D.req o name D.int in
+      let cpu () = D.default o "cpu" D.num 0.0 in
+      let body name = D.req o name (D.list decode_op) in
+      let rw make =
+        let* () = strict [ "file"; "first"; "count"; "cpu"; "done_with" ] in
+        let* file = int "file" in
+        let* first = int "first" in
+        let* count = int "count" in
+        let* cpu = cpu () in
+        let* done_with = D.default o "done_with" D.bool false in
+        Ok (make ~file ~first ~count ~cpu ~done_with)
       in
-      let* size_blocks = req_int ~path "size_blocks" members in
-      let* reserve_blocks =
-        match field "reserve_blocks" members with
-        | None -> Ok (Stdlib.max 1 size_blocks)
-        | Some v -> as_int ~path:(path ^ ".reserve_blocks") v
-      in
-      Ok (Open { name; size_blocks; reserve_blocks })
-    | "read" ->
-      rw (fun ~file ~first ~count ~cpu ~done_with ->
-          Read { file; first; count; cpu; done_with })
-    | "write" ->
-      rw (fun ~file ~first ~count ~cpu ~done_with ->
-          Write { file; first; count; cpu; done_with })
-    | "rand_read" ->
-      let* () = strict [ "file"; "base"; "range"; "cpu" ] in
-      let* file = req_int ~path "file" members in
-      let* base = req_int ~path "base" members in
-      let* range = req_int ~path "range" members in
-      let* cpu = opt_num ~path ~default:0.0 "cpu" members in
-      Ok (Rand_read { file; base; range; cpu })
-    | "compute" ->
-      let* () = strict [ "seconds" ] in
-      let* seconds = req_num ~path "seconds" members in
-      Ok (Compute seconds)
-    | "advise" ->
-      let* advice = parse_advice ~path members in
-      Ok (Advise advice)
-    | "unlink" ->
-      let* () = strict [ "file" ] in
-      let* file = req_int ~path "file" members in
-      Ok (Unlink { file })
-    | "seq" ->
-      let* () = strict [ "body" ] in
-      let* ops = body "body" in
-      Ok (Seq ops)
-    | "loop" ->
-      let* () = strict [ "times"; "body" ] in
-      let* times = req_int ~path "times" members in
-      let* ops = body "body" in
-      Ok (Loop { times; body = ops })
-    | "choice" ->
-      let* () = strict [ "prob"; "then"; "else" ] in
-      let* prob = req_num ~path "prob" members in
-      let* if_true = body "then" in
-      let* if_false =
-        match field "else" members with
-        | None -> Ok []
-        | Some v ->
-          let* l = as_list ~path:(path ^ ".else") v in
-          mapi_result ~path:(path ^ ".else") parse_op l
-      in
-      Ok (Choice { prob; if_true; if_false })
-    | tag ->
-      err (path ^ ".op")
-        (Printf.sprintf
-           "unknown op %S (expected open, read, write, rand_read, compute, advise, \
-            unlink, seq, loop or choice)"
-           tag))
-  | _ -> err path "expected an op object"
+      match tag with
+      | "open" ->
+        let* () = strict [ "name"; "size_blocks"; "reserve_blocks" ] in
+        let* name = D.req o "name" D.str in
+        let* size_blocks = int "size_blocks" in
+        let* reserve_blocks =
+          D.default o "reserve_blocks" D.int (Stdlib.max 1 size_blocks)
+        in
+        Ok (Open { name; size_blocks; reserve_blocks })
+      | "read" ->
+        rw (fun ~file ~first ~count ~cpu ~done_with ->
+            Read { file; first; count; cpu; done_with })
+      | "write" ->
+        rw (fun ~file ~first ~count ~cpu ~done_with ->
+            Write { file; first; count; cpu; done_with })
+      | "rand_read" ->
+        let* () = strict [ "file"; "base"; "range"; "cpu" ] in
+        let* file = int "file" in
+        let* base = int "base" in
+        let* range = int "range" in
+        let* cpu = cpu () in
+        Ok (Rand_read { file; base; range; cpu })
+      | "compute" ->
+        let* () = strict [ "seconds" ] in
+        let* seconds = D.req o "seconds" D.num in
+        Ok (Compute seconds)
+      | "advise" ->
+        let* advice = decode_advice o in
+        Ok (Advise advice)
+      | "unlink" ->
+        let* () = strict [ "file" ] in
+        let* file = int "file" in
+        Ok (Unlink { file })
+      | "seq" ->
+        let* () = strict [ "body" ] in
+        let* ops = body "body" in
+        Ok (Seq ops)
+      | "loop" ->
+        let* () = strict [ "times"; "body" ] in
+        let* times = int "times" in
+        let* ops = body "body" in
+        Ok (Loop { times; body = ops })
+      | "choice" ->
+        let* () = strict [ "prob"; "then"; "else" ] in
+        let* prob = D.req o "prob" D.num in
+        let* if_true = body "then" in
+        let* if_false = D.default o "else" (D.list decode_op) [] in
+        Ok (Choice { prob; if_true; if_false })
+      | tag ->
+        D.fail (D.at o "op")
+          (Printf.sprintf
+             "unknown op %S (expected open, read, write, rand_read, compute, advise, \
+              unlink, seq, loop or choice)"
+             tag))
+    ~path j
 
-let parse ~path j =
-  let* members = fields ~path ~known:[ "schema"; "name"; "category"; "ops" ] j in
-  let* s = require ~path "schema" members in
-  let* schema_str = as_str ~path:(path ^ ".schema") s in
-  let* () =
-    if schema_str = schema then Ok ()
-    else
-      err (path ^ ".schema")
-        (Printf.sprintf "unsupported schema %S (expected %s)" schema_str schema)
-  in
-  let* name =
-    let* v = require ~path "name" members in
-    as_str ~path:(path ^ ".name") v
-  in
-  let* category =
-    match field "category" members with
-    | None -> Ok "custom"
-    | Some v -> as_str ~path:(path ^ ".category") v
-  in
-  let* o = require ~path "ops" members in
-  let* l = as_list ~path:(path ^ ".ops") o in
-  let* ops = mapi_result ~path:(path ^ ".ops") parse_op l in
-  Ok { name; category; ops }
+let decoder : t D.t =
+  D.record [ "schema"; "name"; "category"; "ops" ] (fun o ->
+      let* () = D.schema o schema in
+      let* name = D.req o "name" D.str in
+      let* category = D.default o "category" D.str "custom" in
+      let* ops = D.req o "ops" (D.list decode_op) in
+      Ok { name; category; ops })
 
-let of_json_at ~label ~path j = fmt ~label (parse ~path j)
-
-let of_json j = of_json_at ~label:"wir" ~path:"$" j
+let of_json = D.run ~label:"wir" decoder
 
 let to_string t = Json.to_string (to_json t)
 
-let of_string s =
-  match Json.of_string s with
-  | Error e -> Error ("wir: invalid JSON: " ^ e)
-  | Ok j -> of_json j
+let of_string = D.of_string ~label:"wir" decoder
 
-let save t path =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc (to_string t);
-      output_char oc '\n')
+let save t path = Json.write_file path (to_string t ^ "\n")
 
-let load path =
-  match
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  with
-  | exception Sys_error e -> Error ("wir: " ^ e)
-  | contents -> of_string contents
+let load = D.load ~label:"wir" decoder
 
 let hash t = Digest.to_hex (Digest.string (to_string t))

@@ -5,6 +5,8 @@ module Config = Acfc_core.Config
 module Block = Acfc_core.Block
 module Scenario = Acfc_scenario.Scenario
 module Recorder = Acfc_replacement.Recorder
+module Manifest = Acfc_store.Manifest
+module Kind = Acfc_store.Kind
 
 type failure = {
   spec_name : string;
@@ -37,11 +39,6 @@ let long_specs =
     (fun s ->
       { s with Wirgen.files = (1, 8); file_blocks = (16, 256); passes = (2, 8) })
     default_specs
-
-let contains_sub s sub =
-  let n = String.length s and m = String.length sub in
-  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-  m = 0 || go 0
 
 (* A small machine for one program: the paper's disks, a cache small
    enough (128 blocks ~ 1 MB) that generated working sets overflow it
@@ -106,6 +103,17 @@ let check_roundtrip p ~mrng =
       | Ok () -> Ok ()
       | Error e -> Error ("roundtrip", "preserving mutant rejected: " ^ e))
 
+(* A strict rejection ends with the offending path: "... at $.x[1]". *)
+let names_path e =
+  let marker = " at $" in
+  let m = String.length marker in
+  let rec last i =
+    if i < 0 then false
+    else if String.sub e i m = marker then not (String.contains_from e (i + m) ' ')
+    else last (i - 1)
+  in
+  last (String.length e - m)
+
 (* Invariant 4: corruptions are rejected, and the diagnostic points at
    a path. *)
 let check_reject p ~mrng ~semantic =
@@ -114,7 +122,7 @@ let check_reject p ~mrng ~semantic =
     match Wir.validate bad with
     | Ok () -> Error ("reject", "corrupt program passed validate", Some (Wir.to_string bad))
     | Error e ->
-      if contains_sub e "$." then Ok ()
+      if names_path e then Ok ()
       else Error ("reject", "diagnostic has no $.path: " ^ e, Some (Wir.to_string bad)))
   else (
     let bad = Mutate.corrupt_json ~rng:mrng (Wir.to_json p) in
@@ -122,10 +130,54 @@ let check_reject p ~mrng ~semantic =
     match Wir.of_json bad with
     | Ok _ -> Error ("reject", "corrupt JSON passed of_json", Some doc)
     | Error e ->
-      if contains_sub e "$" then Ok ()
+      if names_path e then Ok ()
       else Error ("reject", "diagnostic has no $.path: " ^ e, Some doc))
 
-let run ?progress ~specs ~seed ~programs ~mutants () =
+(* The other strict documents a program travels in: the scenario
+   [Wirgen.scenario] makes of it, its spec, and a store manifest
+   indexing both. Each comes with its codec's decoder. *)
+let documents spec p ~seed =
+  let scenario = Wirgen.scenario spec ~seed ~count:1 in
+  let manifest =
+    List.fold_left
+      (fun m (kind, digest, bytes, label) ->
+        match Manifest.add m ~kind ~digest ~bytes ~label:(Some label) with
+        | Ok (m, _) -> m
+        | Error e -> failwith e)
+      Manifest.empty
+      [
+        (Kind.Wir_program, Wir.hash p, String.length (Wir.to_string p), p.Wir.name);
+        ( Kind.Scenario,
+          Scenario.hash scenario,
+          String.length (Scenario.to_string scenario),
+          "scenario:" ^ Scenario.hash scenario );
+      ]
+  in
+  let decodes of_json j = Result.map ignore (of_json j) in
+  [
+    ("scenario", Scenario.to_json scenario, decodes Scenario.of_json);
+    ("wirgen spec", Wirgen.to_json spec, decodes Wirgen.of_json);
+    ("store manifest", Manifest.to_json manifest, decodes Manifest.of_json);
+  ]
+
+(* Invariant 4 for any strict document: it decodes as it stands, and
+   every {!Mutate.corrupt_tree} mutant is rejected with a path. *)
+let check_document ~mrng ~mutants (what, j, decode) =
+  match decode j with
+  | Error e ->
+    [ (Printf.sprintf "%s: clean document rejected: %s" what e, Json.to_string j) ]
+  | Ok () ->
+    List.filter_map
+      (fun _ ->
+        let bad = Mutate.corrupt_tree ~rng:mrng j in
+        match decode bad with
+        | Ok () -> Some (what ^ ": corrupt document accepted", Json.to_string bad)
+        | Error e when not (names_path e) ->
+          Some (what ^ ": diagnostic has no $.path: " ^ e, Json.to_string bad)
+        | Error _ -> None)
+      (List.init mutants Fun.id)
+
+let run ?progress ?(scenarios = []) ~specs ~seed ~programs ~mutants () =
   let failures = ref [] in
   let generated = ref 0 and mutated = ref 0 and checks = ref 0 in
   let by_category = Hashtbl.create 8 in
@@ -172,7 +224,30 @@ let run ?progress ~specs ~seed ~programs ~mutants () =
             match check_reject p ~mrng ~semantic:(m mod 2 = 0) with
             | Ok () -> ()
             | Error (invariant, detail, doc) -> fail spec.Wirgen.name pseed invariant detail doc
-          done
+          done;
+          let examples =
+            match scenarios with
+            | [] -> []
+            | l ->
+              let name, j = List.nth l (i mod List.length l) in
+              [ (name, j, fun j -> Result.map ignore (Scenario.of_json j)) ]
+          in
+          match documents spec p ~seed:pseed @ examples with
+          | exception e ->
+            incr checks;
+            fail spec.Wirgen.name pseed "reject"
+              ("building documents raised: " ^ Printexc.to_string e)
+              None
+          | docs ->
+            List.iter
+              (fun d ->
+                mutated := !mutated + mutants;
+                checks := !checks + 1 + mutants;
+                List.iter
+                  (fun (detail, doc) ->
+                    fail spec.Wirgen.name pseed "reject" detail (Some doc))
+                  (check_document ~mrng ~mutants d))
+              docs
       done)
     specs;
   let by_category =

@@ -14,7 +14,11 @@
       stable, and a {!Mutate.preserve} mutant stays valid;
     + {b reject}: every {!Mutate.corrupt} mutant is refused by
       [validate], and every {!Mutate.corrupt_json} document by
-      [of_json], each with an error naming a [$.path].
+      [of_json], each with an error naming a [$.path]. The same holds
+      for the other strict formats: the scenario {!Wirgen.scenario}
+      makes of each program, the spec itself, a store manifest indexing
+      both, and any given scenario files each decode as they stand and
+      reject every {!Mutate.corrupt_tree} mutant with a [$.path].
 
     The same harness runs at two budgets: quick (in [dune runtest],
     seconds) and long (the scheduled CI fuzz job, minutes) — only
@@ -30,7 +34,7 @@ type failure = {
 
 type stats = {
   generated : int;  (** programs drawn from the spec pool *)
-  mutated : int;  (** preserve + corrupt + corrupt-json mutants *)
+  mutated : int;  (** preserve, corrupt, corrupt-json and corrupt-tree mutants *)
   checks : int;  (** individual invariant checks performed *)
   by_category : (string * int) list;
       (** generated programs per access-pattern category *)
@@ -47,6 +51,7 @@ val long_specs : Wirgen.spec list
 
 val run :
   ?progress:(string -> unit) ->
+  ?scenarios:(string * Acfc_obs.Json.t) list ->
   specs:Wirgen.spec list ->
   seed:int ->
   programs:int ->
@@ -56,6 +61,9 @@ val run :
 (** Fuzz [programs] programs per spec (program [i] uses seed
     [seed + i], the {!Wirgen.corpus} convention) and [mutants]
     corrupting mutants per program (half semantic, half JSON-level),
-    plus one preserving mutant each. Returns the tally and every
+    plus one preserving mutant each, and [mutants] {!Mutate.corrupt_tree}
+    mutants of each of the program's documents. [scenarios] are named
+    scenario documents (e.g. the example files); program [i] also
+    corrupts the [i mod n]-th of them. Returns the tally and every
     failure found; an empty failure list is a pass. Never raises —
     unexpected exceptions become failures. *)

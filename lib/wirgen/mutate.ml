@@ -39,8 +39,86 @@ let corrupt ~rng (p : Wir.t) =
 
 (* {2 JSON-level corruption} *)
 
+(* Member names that the scenario, wir, wirgen and store formats type as
+   integers (no format uses one of these names for a float). *)
+let int_fields =
+  [
+    (* acfc-wir/1 *)
+    "file"; "first"; "count"; "size_blocks"; "reserve_blocks"; "base"; "range";
+    "prio"; "last"; "index"; "times";
+    (* acfc-scenario/1 *)
+    "seed"; "capacity_blocks"; "max_managers"; "max_levels"; "max_file_records";
+    "max_placeholders"; "min_decisions"; "write_cluster"; "disk"; "file_blocks";
+    "clients"; "shared_files"; "cache_blocks"; "client";
+    (* acfc-wirgen/1 ([min, max] pairs) and acfc-store/1 *)
+    "files"; "passes"; "seq"; "bytes"; "next_seq";
+  ]
+
 let set_field k v members =
   List.map (fun (k', v') -> if k' = k then (k, v) else (k', v')) members
+
+(* Rebuild [j] with [f] applied to the [k]-th value (pre-order) that
+   [is_site] accepts, given the name of the member holding it (list
+   elements inherit their list's name); also return how many such
+   values there are, so [k = -1] only counts. *)
+let rewrite ~is_site k f j =
+  let n = ref 0 in
+  let rec go name v =
+    let v =
+      if is_site name v then (
+        incr n;
+        if !n - 1 = k then f v else v)
+      else v
+    in
+    match v with
+    | Json.Obj members -> Json.Obj (List.map (fun (name, x) -> (name, go name x)) members)
+    | Json.List items -> Json.List (List.map (go name) items)
+    | v -> v
+  in
+  let j = go "" j in
+  (j, !n)
+
+(* Edit one site drawn uniformly; [None] when there is none. *)
+let edit_site ~rng ~is_site f j =
+  match rewrite ~is_site (-1) f j with
+  | _, 0 -> None
+  | _, n -> Some (fst (rewrite ~is_site (Rng.int rng n) f j))
+
+let corrupt_tree ~rng j =
+  let kind = Rng.int rng 4 in
+  (* Which member of the chosen object an edit targets. *)
+  let member = Rng.int rng 1_000_000 in
+  let nth m = List.nth m (member mod List.length m) in
+  let on_members f = function Json.Obj m -> Json.Obj (f m) | v -> v in
+  let any_object _ = function Json.Obj _ -> true | _ -> false in
+  let non_empty _ = function Json.Obj (_ :: _) -> true | _ -> false in
+  let integer name = function
+    | Json.Num x -> Float.is_integer x && List.mem name int_fields
+    | _ -> false
+  in
+  let unknown = ("zzz", Json.Num 1.0) in
+  let edited =
+    match kind with
+    | 0 -> None
+    | 1 ->
+      (* A value of the wrong type: no field of any format takes null,
+         and none takes both a string and a number. *)
+      edit_site ~rng ~is_site:non_empty
+        (on_members (fun m ->
+             let k, v = nth m in
+             set_field k (match v with Json.Str _ -> Json.Num 5.0 | _ -> Json.Null) m))
+        j
+    | 2 -> edit_site ~rng ~is_site:non_empty (on_members (fun m -> m @ [ nth m ])) j
+    | _ ->
+      let v = List.nth [ 1e19; -1e19; 1e300 ] (member mod 3) in
+      edit_site ~rng ~is_site:integer (fun _ -> Json.Num v) j
+  in
+  match edited with
+  | Some j -> j
+  | None -> (
+    match edit_site ~rng ~is_site:any_object (on_members (fun m -> m @ [ unknown ])) j with
+    | Some j -> j
+    | None -> Json.Obj [ unknown ])
 
 (* Rewrite the first op of the program's ops list with [f]; [None] when
    the document doesn't have the expected {ops: [Obj ...]} shape. *)
@@ -53,33 +131,24 @@ let with_first_op j f =
     | _ -> None)
   | _ -> None
 
-let add_root_unknown j =
-  match j with
-  | Json.Obj members -> Json.Obj (members @ [ ("zzz", Json.Num 1.0) ])
-  | _ -> Json.Obj [ ("zzz", Json.Num 1.0) ]
-
 let corrupt_json ~rng j =
-  let fallback = add_root_unknown in
-  let or_fallback = function Some j' -> j' | None -> fallback j in
+  let or_tree = function Some j' -> j' | None -> corrupt_tree ~rng j in
   match Rng.int rng 5 with
-  | 0 -> fallback j
-  | 1 ->
+  | 0 | 1 -> corrupt_tree ~rng j
+  | 2 ->
     (* Misspell the op tag: "read" -> "readx" etc. *)
-    or_fallback
+    or_tree
       (with_first_op j (fun op0 ->
            match List.assoc_opt "op" op0 with
            | Some (Json.Str tag) -> Json.Obj (set_field "op" (Json.Str (tag ^ "x")) op0)
            | _ -> Json.Obj (("op", Json.Str "zzz") :: op0)))
-  | 2 ->
+  | 3 ->
     (* Drop the required op tag entirely. *)
-    or_fallback
+    or_tree
       (with_first_op j (fun op0 ->
            Json.Obj (List.filter (fun (k, _) -> k <> "op") op0)))
-  | 3 ->
-    (* Type error: the op tag must be a string. *)
-    or_fallback (with_first_op j (fun op0 -> Json.Obj (set_field "op" (Json.Num 5.0) op0)))
   | _ -> (
     match j with
     | Json.Obj members ->
       Json.Obj (set_field "schema" (Json.Str "acfc-wir/999") members)
-    | _ -> fallback j)
+    | _ -> corrupt_tree ~rng j)

@@ -9,7 +9,8 @@
     - {!corrupt} and {!corrupt_json} make edits that must be rejected
       (by [validate] and [of_json] respectively) with a [$.path] error —
       the harness checks the strict toolchain never lets a broken
-      program through silently.
+      program through silently. {!corrupt_tree} does the same for any
+      strict document: scenarios, wirgen specs and store manifests.
 
     All mutators draw from the given RNG in a fixed order, so a mutant
     is a pure function of (program, RNG state). *)
@@ -25,8 +26,15 @@ val corrupt : rng:Acfc_sim.Rng.t -> Acfc_wir.Wir.t -> Acfc_wir.Wir.t
     or place an [Open] inside a [Loop]. The result still parses but
     must be rejected by [validate] with a [$.path] error. *)
 
+val corrupt_tree : rng:Acfc_sim.Rng.t -> Acfc_obs.Json.t -> Acfc_obs.Json.t
+(** A format-agnostic corruption of a document's object tree, at a
+    random object: an unknown field, a member of the wrong type, a
+    repeated member, or a member the formats type as an integer set to
+    [1e19], [-1e19] or [1e300]. Every strict codec must reject the
+    result with a [$.path] error. *)
+
 val corrupt_json : rng:Acfc_sim.Rng.t -> Acfc_obs.Json.t -> Acfc_obs.Json.t
 (** A syntactic corruption of a program's [acfc-wir/1] JSON document:
-    an unknown field, a misspelled op tag, a missing required field, a
-    type error, or an unsupported schema string. The result must be
-    rejected by [of_json] with a [$.path] error. *)
+    a {!corrupt_tree} edit, a misspelled or missing op tag, or an
+    unsupported schema string. The result must be rejected by [of_json]
+    with a [$.path] error. *)

@@ -58,14 +58,17 @@ let weight spec p = match List.assoc_opt p spec.mix with Some w -> w | None -> 0
 
 (* {2 Validation} *)
 
-let validate spec =
-  let err path msg = Error (Printf.sprintf "wirgen: %s at %s" msg path) in
+module D = Json.Decode
+
+let ( let* ) = Result.bind
+
+let check spec =
+  let err = D.fail in
   let range path what (lo, hi) =
     if lo < 1 then err path (what ^ " minimum must be at least 1")
     else if hi < lo then err path (what ^ " maximum must be at least its minimum")
     else Ok ()
   in
-  let ( let* ) = Result.bind in
   let* () = if spec.name = "" then err "$.name" "corpus name must be non-empty" else Ok () in
   let* () =
     if
@@ -88,6 +91,8 @@ let validate spec =
   if Float.is_nan spec.advise || spec.advise < 0.0 || spec.advise > 1.0 then
     err "$.advise" "advise density must be in [0, 1]"
   else Ok ()
+
+let validate spec = D.label "wirgen" (check spec)
 
 (* {2 Generation}
 
@@ -279,124 +284,60 @@ let to_json spec =
       ("advise", Json.Num spec.advise);
     ]
 
-let ( let* ) = Result.bind
+let decode_range ~path j =
+  match Option.map (List.map Json.to_int) (Json.to_list j) with
+  | Some [ Some lo; Some hi ] -> Ok (lo, hi)
+  | _ -> D.fail path "expected a [min, max] pair of integers"
 
-let err path msg = Error (Printf.sprintf "wirgen: %s at %s" msg path)
-
-let known_fields =
-  [ "schema"; "name"; "mix"; "files"; "file_blocks"; "passes"; "locality"; "advise" ]
-
-let require ~path name members =
-  match List.assoc_opt name members with
-  | Some v -> Ok v
-  | None -> err path (Printf.sprintf "missing required field %S" name)
-
-let as_num ~path = function
-  | Json.Num x -> Ok x
-  | _ -> err path "expected a number"
-
-let as_str ~path = function
-  | Json.Str s -> Ok s
-  | _ -> err path "expected a string"
-
-let as_range ~path = function
-  | Json.List [ (Json.Num _ as a); (Json.Num _ as b) ] ->
-    (match (Json.to_int a, Json.to_int b) with
-    | Some lo, Some hi -> Ok (lo, hi)
-    | _ -> err path "expected a [min, max] pair of integers")
-  | _ -> err path "expected a [min, max] pair of integers"
-
-let req_range ~path name members =
-  let* v = require ~path name members in
-  as_range ~path:(path ^ "." ^ name) v
-
-let req_num ~path name members =
-  let* v = require ~path name members in
-  as_num ~path:(path ^ "." ^ name) v
-
-let parse_mix ~path = function
+(* A map, not a record: its keys are pattern names, and a repeated one
+   is reported as a duplicate pattern. *)
+let decode_mix ~path = function
   | Json.Obj members ->
     let rec go acc = function
       | [] -> Ok (List.rev acc)
       | (k, v) :: rest ->
         (match pattern_of_string k with
         | None ->
-          err path
+          D.fail path
             (Printf.sprintf
                "unknown pattern %S (expected sequential, cyclic, hot_cold, random or \
                 access_once)"
                k)
         | Some p ->
-          if List.mem_assoc p acc then err path (Printf.sprintf "duplicate pattern %S" k)
+          if List.mem_assoc p acc then
+            D.fail path (Printf.sprintf "duplicate pattern %S" k)
           else
-            let* w = as_num ~path:(path ^ "." ^ k) v in
+            let* w = D.num ~path:(path ^ "." ^ k) v in
             go ((p, w) :: acc) rest)
     in
     go [] members
-  | _ -> err path "expected an object of pattern weights"
+  | _ -> D.fail path "expected an object of pattern weights"
 
-let of_json j =
-  match j with
-  | Json.Obj members ->
-    let* () =
-      let rec check = function
-        | [] -> Ok ()
-        | (k, _) :: rest ->
-          if List.mem k known_fields then check rest
-          else err "$" (Printf.sprintf "unknown field %S" k)
-      in
-      check members
-    in
-    let* s = require ~path:"$" "schema" members in
-    let* schema_str = as_str ~path:"$.schema" s in
-    let* () =
-      if schema_str = schema then Ok ()
-      else
-        err "$.schema"
-          (Printf.sprintf "unsupported schema %S (expected %s)" schema_str schema)
-    in
-    let* name =
-      let* v = require ~path:"$" "name" members in
-      as_str ~path:"$.name" v
-    in
-    let* mix =
-      let* v = require ~path:"$" "mix" members in
-      parse_mix ~path:"$.mix" v
-    in
-    let* files = req_range ~path:"$" "files" members in
-    let* file_blocks = req_range ~path:"$" "file_blocks" members in
-    let* passes = req_range ~path:"$" "passes" members in
-    let* locality = req_num ~path:"$" "locality" members in
-    let* advise = req_num ~path:"$" "advise" members in
-    let spec = { name; mix; files; file_blocks; passes; locality; advise } in
-    let* () = validate spec in
-    Ok spec
-  | _ -> err "$" "expected a spec object"
+let decoder =
+  D.record ~what:"a spec object"
+    [ "schema"; "name"; "mix"; "files"; "file_blocks"; "passes"; "locality"; "advise" ]
+    (fun o ->
+      let* () = D.schema o schema in
+      let* name = D.req o "name" D.str in
+      let* mix = D.req o "mix" decode_mix in
+      let* files = D.req o "files" decode_range in
+      let* file_blocks = D.req o "file_blocks" decode_range in
+      let* passes = D.req o "passes" decode_range in
+      let* locality = D.req o "locality" D.num in
+      let* advise = D.req o "advise" D.num in
+      let spec = { name; mix; files; file_blocks; passes; locality; advise } in
+      let* () = check spec in
+      Ok spec)
+
+let of_json = D.run ~label:"wirgen" decoder
 
 let to_string spec = Json.to_string (to_json spec)
 
-let of_string s =
-  match Json.of_string s with
-  | Error e -> Error ("wirgen: invalid JSON: " ^ e)
-  | Ok j -> of_json j
+let of_string = D.of_string ~label:"wirgen" decoder
 
-let save spec path =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc (to_string spec);
-      output_char oc '\n')
+let save spec path = Json.write_file path (to_string spec ^ "\n")
 
-let load path =
-  match
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  with
-  | exception Sys_error e -> Error ("wirgen: " ^ e)
-  | contents -> of_string contents
+let load = D.load ~label:"wirgen" decoder
 
 let hash spec = Digest.to_hex (Digest.string (to_string spec))
 
@@ -426,7 +367,6 @@ let ingest_spec store spec =
     ~expect:(hash spec) (to_string spec)
 
 let stored_corpus store spec ~seed ~count =
-  let ( let* ) = Result.bind in
   let label = corpus_label spec ~seed ~count in
   match Acfc_store.Store.resolve store ~label with
   | Some entry ->

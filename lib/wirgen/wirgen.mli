@@ -104,8 +104,8 @@ val to_json : spec -> Acfc_obs.Json.t
     omitted. [of_json (to_json s)] re-reads every spec exactly. *)
 
 val of_json : Acfc_obs.Json.t -> (spec, string) result
-(** Strict parse: unknown fields, unknown pattern names and non-numeric
-    budgets are rejected with their path, e.g.
+(** Strict parse: unknown or repeated fields, unknown pattern names and
+    budgets that are not [int] pairs are rejected with their path, e.g.
     [wirgen: unknown pattern "ziggurat" at $.mix]. Parsing also
     {!validate}s, so an [Ok] spec is always generable. *)
 
@@ -114,6 +114,7 @@ val to_string : spec -> string
 val of_string : string -> (spec, string) result
 
 val save : spec -> string -> unit
+(** Write {!to_string} plus a trailing newline to a file, atomically. *)
 
 val load : string -> (spec, string) result
 

@@ -1,4 +1,5 @@
 module Wir = Acfc_wir.Wir
+module Env = Acfc_wir.Env
 
 type body =
   | Program of Wir.t

@@ -131,6 +131,11 @@ let errors () =
       ( replace ~sub:{|{"app":"din"}|} ~by:{|{"app":"din","file_blocks":64}|} minimal,
         "scenario: application \"din\" does not take file_blocks (readN only) at \
          $.workloads[0].app" );
+      (* Past OCaml's int range: not read as 0. *)
+      ( replace ~sub:{|"cache"|} ~by:{|"seed":1e19,"cache"|} minimal,
+        "scenario: expected an integer at $.seed" );
+      ( replace ~sub:{|"cache"|} ~by:{|"seed":0,"seed":5,"cache"|} minimal,
+        {|scenario: duplicate field "seed" at $|} );
     ]
 
 let catalog () =

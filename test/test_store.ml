@@ -120,6 +120,14 @@ let test_manifest_rejects () =
        {|{"schema":"acfc-store/1","next_seq":2,"entries":[{"seq":1,"kind":"refstream","digest":"%s","bytes":1},{"seq":1,"kind":"scenario","digest":"%s","bytes":1}]}|}
        digest_a digest_b)
     "strictly increasing";
+  reject "seq outside int range"
+    (Printf.sprintf
+       {|{"schema":"acfc-store/1","next_seq":1,"entries":[{"seq":1e19,"kind":"refstream","digest":"%s","bytes":1}]}|}
+       digest_a)
+    "expected an integer at $.entries[0].seq";
+  reject "duplicate field"
+    {|{"schema":"acfc-store/1","next_seq":0,"next_seq":0,"entries":[]}|}
+    {|duplicate field "next_seq" at $|};
   reject "seq beyond next_seq"
     (Printf.sprintf
        {|{"schema":"acfc-store/1","next_seq":1,"entries":[{"seq":4,"kind":"refstream","digest":"%s","bytes":1}]}|}

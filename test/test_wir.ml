@@ -18,7 +18,7 @@
 open Acfc_scenario
 module Wir = Acfc_wir.Wir
 module App = Acfc_workload.App
-module Env = Acfc_workload.Env
+module Env = Acfc_wir.Env
 module Runner = Acfc_workload.Runner
 module Recorder = Acfc_replacement.Recorder
 module Refstream = Acfc_replacement.Refstream
@@ -575,6 +575,10 @@ let parse_errors () =
         {|wir: unknown field "author" at $|} );
       ( replace ~sub:{|"first":0|} ~by:{|"first":0.5|} minimal_wir,
         {|wir: expected an integer at $.ops[1].first|} );
+      ( replace ~sub:{|"first":0|} ~by:{|"first":1e19|} minimal_wir,
+        {|wir: expected an integer at $.ops[1].first|} );
+      ( replace ~sub:{|"count":4|} ~by:{|"count":4,"count":5|} minimal_wir,
+        {|wir: duplicate field "count" at $.ops[1]|} );
     ];
   (match Wir.of_string "{" with
   | Ok _ -> Alcotest.fail "parsed malformed JSON"

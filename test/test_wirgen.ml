@@ -105,6 +105,10 @@ let test_spec_parse_errors () =
         {|wirgen: expected a number at $.locality|} );
       ( replace ~old:{|"files":[1,2]|} ~new_:{|"files":[0,2]|},
         {|wirgen: file count minimum must be at least 1 at $.files|} );
+      ( replace ~old:{|"passes":[2,3]|} ~new_:{|"passes":[1,1e19]|},
+        {|wirgen: expected a [min, max] pair of integers at $.passes|} );
+      ( replace ~old:{|"advise":0.5}|} ~new_:{|"advise":0.5,"advise":0.5}|},
+        {|wirgen: duplicate field "advise" at $|} );
     ]
 
 (* {2 Generator determinism} *)
@@ -191,9 +195,25 @@ let test_mutators_deterministic_classes () =
 
 (* {2 The quick fuzz pass} *)
 
+(* The committed example scenarios, as the fuzz pass's extra corpus:
+   staged next to the test directory under `dune runtest`, in the
+   source tree under a bare `dune exec test/main.exe`. *)
+let example_scenarios () =
+  let dir =
+    List.find Sys.file_exists [ "../examples/scenarios"; "examples/scenarios" ]
+  in
+  Sys.readdir dir |> Array.to_list
+  |> List.filter (fun f -> Filename.check_suffix f ".json")
+  |> List.sort compare
+  |> List.map (fun f ->
+         let path = Filename.concat dir f in
+         (path, ok (Result.bind (Json.read_file path) Json.of_string)))
+
 let test_quick_fuzz () =
+  let scenarios = example_scenarios () in
+  chk_bool "example scenarios found" true (List.length scenarios >= 6);
   let stats, failures =
-    Fuzz.run ~specs:Fuzz.default_specs ~seed:1000 ~programs:35 ~mutants:4 ()
+    Fuzz.run ~scenarios ~specs:Fuzz.default_specs ~seed:1000 ~programs:35 ~mutants:4 ()
   in
   (match failures with
   | [] -> ()
