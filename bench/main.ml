@@ -346,6 +346,8 @@ let speedup_pairs =
     ("disk-queue/scan", "disk-queue/scan-naive");
     ("policy-miss/lru2", "policy-miss/lru2-naive");
     ("policy-miss/opt", "policy-miss/opt-naive");
+    ("policy-miss/awrp", "policy-miss/awrp-naive");
+    ("policy-miss/perceptron", "policy-miss/perceptron-naive");
     ("engine-events/steady", "engine-events/steady-naive");
     ("engine-events/batch", "engine-events/batch-naive");
     ("cache-churn", "cache-churn/ref");
@@ -433,7 +435,9 @@ let bench_disk_queues () =
 
 (* One op = one trace reference against a full cache of 4096 resident
    blocks (every reference past the fill is a likely miss), comparing
-   the indexed policies against the linear-scan references. *)
+   the indexed policies against the linear-scan references. The
+   adaptive pairs set the columnar AWRP and PERCEPTRON cores against
+   their full-table scan twins. *)
 let policy_miss_trace =
   let rng = Acfc_sim.Rng.create 9 in
   let fill = Array.init 4096 (fun i -> Acfc_core.Block.make ~file:0 ~index:i) in
@@ -452,6 +456,11 @@ let bench_policy_miss () =
       ("policy-miss/opt", (module Policies.Opt));
       ("policy-miss/opt-naive", (module Reference.Opt));
       ("policy-miss/rand", (module Policies.Rand));
+      ("policy-miss/awrp", (module Policies.Awrp));
+      ("policy-miss/awrp-naive", Policies.of_core (module Reference.Awrp_scan));
+      ("policy-miss/perceptron", (module Policies.Perceptron));
+      ( "policy-miss/perceptron-naive",
+        Policies.of_core (module Reference.Perceptron_scan) );
     ]
 
 (* One op = one simulator event (a timer fire through the engine's
@@ -886,8 +895,10 @@ let check_policies () =
       ("synthetic/cyclic", Rt.cyclic ~file:0 ~blocks:300 ~passes:10);
     ]
   in
-  (* Every adapter-ported stock policy against its retained record twin:
-     the core extraction must not move a single victim. *)
+  (* Every adapter-ported stock policy against its retained record twin,
+     and the columnar adaptive cores against their full-scan twins: the
+     core extraction and the columnar rewrite must not move a single
+     victim. *)
   let pairs =
     [
       ("lru", (module Policies.Lru : Policy_sim.POLICY),
@@ -899,6 +910,10 @@ let check_policies () =
       ("2q", (module Policies.Two_q), (module Reference.Two_q));
       ("rand", (module Policies.Rand), (module Reference.Rand));
       ("opt", (module Policies.Opt), (module Reference.Opt));
+      ("awrp", (module Policies.Awrp), Policies.of_core (module Reference.Awrp_scan));
+      ( "perceptron",
+        (module Policies.Perceptron),
+        Policies.of_core (module Reference.Perceptron_scan) );
     ]
   in
   List.iter
@@ -916,8 +931,8 @@ let check_policies () =
                      pname tname capacity pos Block.pp va Block.pp vb))
             [ 64; 200 ])
         pairs;
-      Format.printf "  check policies on %s (%d refs): all 8 stock identical@." tname
-        (Array.length trace))
+      Format.printf "  check policies on %s (%d refs): all %d identical@." tname
+        (Array.length trace) (List.length pairs))
     traces
 
 (* {2 Columnar-vs-record lockstep replay}

@@ -14,87 +14,6 @@ module Ilist = Acfc_core.Ilist
 module Itbl = Acfc_core.Itbl
 open Policy_core
 
-(* One recency list of blocks on columnar storage: free-listed slots
-   over an {!Ilist} store with an {!Itbl} index keyed by {!Block.pack}.
-   Every operation is O(1) and allocation-free at steady state. *)
-module Islab = struct
-  type t = {
-    store : Ilist.store;
-    list : Ilist.t;
-    tbl : Itbl.t; (* Block.pack -> slot *)
-    mutable blocks : Block.t array; (* slot -> block *)
-    mutable free : int array; (* stack of free slots *)
-    mutable nfree : int;
-    mutable len : int;
-  }
-
-  let dummy = Block.make ~file:0 ~index:0
-
-  let create n =
-    let n = Stdlib.max 16 n in
-    {
-      store = Ilist.make_store n;
-      list = Ilist.create ();
-      tbl = Itbl.create n;
-      blocks = Array.make n dummy;
-      free = Array.init n (fun i -> n - 1 - i);
-      nfree = n;
-      len = 0;
-    }
-
-  let grow t =
-    let old = Array.length t.blocks in
-    let cap = 2 * old in
-    Ilist.grow_store t.store cap;
-    let blocks = Array.make cap dummy in
-    Array.blit t.blocks 0 blocks 0 old;
-    t.blocks <- blocks;
-    let free = Array.make cap 0 in
-    Array.blit t.free 0 free 0 t.nfree;
-    for i = 0 to old - 1 do
-      free.(t.nfree + i) <- old + i
-    done;
-    t.free <- free;
-    t.nfree <- t.nfree + old
-
-  let mem t block = Itbl.find t.tbl (Block.pack block) >= 0
-
-  let slot t block =
-    let s = Itbl.find t.tbl (Block.pack block) in
-    if s < 0 then failwith "Islab: block not resident";
-    s
-
-  let push_front t block =
-    if t.nfree = 0 then grow t;
-    let s = t.free.(t.nfree - 1) in
-    t.nfree <- t.nfree - 1;
-    t.blocks.(s) <- block;
-    Itbl.set t.tbl (Block.pack block) s;
-    Ilist.push_front t.store t.list s;
-    t.len <- t.len + 1
-
-  let move_front t block = Ilist.move_front t.store t.list (slot t block)
-
-  let remove t block =
-    let key = Block.pack block in
-    let s = Itbl.find t.tbl key in
-    if s >= 0 then begin
-      Ilist.remove t.store t.list s;
-      Itbl.remove t.tbl key;
-      t.free.(t.nfree) <- s;
-      t.nfree <- t.nfree + 1;
-      t.len <- t.len - 1
-    end
-
-  let is_empty t = Ilist.is_empty t.list
-
-  let length t = t.len
-
-  let front t = t.blocks.(Ilist.front t.list)
-
-  let back t = t.blocks.(Ilist.back t.list)
-end
-
 (* FIFO-ordered queue of blocks that survives out-of-order removals: a
    stdlib [Queue] of stamped entries plus a block -> live-stamp table.
    Removal just drops the table entry; stale queue entries are skipped
@@ -678,6 +597,70 @@ module Arc = struct
     ]
 end
 
+(* Bounded ghost list for the learned cores: blocks recently evicted,
+   most recent at the front, keyed by {!Block.pack}, each with two int
+   payload columns ([a], [b]). [cap + 1] slots are preallocated: callers
+   push, then trim back to [cap], so a push always finds a free slot and
+   nothing is allocated after [create]. *)
+module Ghost = struct
+  type t = {
+    cap : int;
+    store : Ilist.store;
+    list : Ilist.t;
+    index : Itbl.t;  (* Block.pack -> slot *)
+    key : int array;
+    a : int array;
+    b : int array;
+    free : int array;  (* stack of free slots *)
+    mutable nfree : int;
+  }
+
+  let create cap =
+    let n = cap + 1 in
+    {
+      cap;
+      store = Ilist.make_store n;
+      list = Ilist.create ();
+      index = Itbl.create n;
+      key = Array.make n 0;
+      a = Array.make n 0;
+      b = Array.make n 0;
+      free = Array.init n (fun i -> n - 1 - i);
+      nfree = n;
+    }
+
+  let length t = Ilist.length t.list
+
+  let over t = Ilist.length t.list > t.cap
+
+  (* Slot of [key], or -1. *)
+  let find t key = Itbl.find t.index key
+
+  (* The least recently pushed entry; the list must be non-empty. *)
+  let oldest t = Ilist.back t.list
+
+  let push t key ~a ~b =
+    t.nfree <- t.nfree - 1;
+    let s = t.free.(t.nfree) in
+    t.key.(s) <- key;
+    t.a.(s) <- a;
+    t.b.(s) <- b;
+    Itbl.set t.index key s;
+    Ilist.push_front t.store t.list s
+
+  let remove t s =
+    Ilist.remove t.store t.list s;
+    Itbl.remove t.index t.key.(s);
+    t.free.(t.nfree) <- s;
+    t.nfree <- t.nfree + 1
+end
+
+(* Widen an int column to [n] cells, preserving its contents. *)
+let widen col n =
+  let c = Array.make n 0 in
+  Array.blit col 0 c 0 (Array.length col);
+  c
+
 module Awrp = struct
   (* Adaptive Weight Ranking Policy (arXiv:1107.4851): every resident
      block is ranked by a weighted sum of a frequency term and a recency
@@ -685,15 +668,33 @@ module Awrp = struct
      recently evicted blocks with their reference counts — when an
      evicted block returns, the mix is nudged toward the term that would
      have kept it (frequency if it was referenced repeatedly, recency
-     otherwise). All arithmetic is RNG-free and the victim scan uses an
-     order-independent minimum, so a fixed stream replays
-     bit-identically. *)
-  type info = { mutable cnt : int; mutable last : int }
+     otherwise). All arithmetic is RNG-free, so a fixed stream replays
+     bit-identically.
+
+     Resident blocks live in free-listed slots ([cnt]/[last] columns)
+     threaded on one of [buckets] recency lists, one per saturated
+     frequency [min cnt 16], newest at the front. Positions strictly
+     increase (Policy_core's contract), so each bucket is ordered by
+     [last]; the frequency term is constant within a bucket and the
+     rank is monotone in [last] under IEEE rounding, so each bucket's
+     back holds its minimum. A victim query evaluates the bucket backs
+     and walks only the equal-valued run at the back of each bucket for
+     the [Block.compare] tie-break: O(buckets) per miss, no allocation,
+     and exactly the victim of a full scan (Reference.Awrp_scan, checked
+     in lockstep by test/test_policy_core.ml). *)
+  let buckets = 16
 
   type t = {
-    resident : (Block.t, info) Hashtbl.t;
-    ghost : Islab.t;  (* recent evictions, MRU at front, <= cap *)
-    ghost_cnt : (Block.t, int) Hashtbl.t;
+    index : Itbl.t;  (* Block.pack -> slot *)
+    store : Ilist.store;
+    bucket : Ilist.t array;  (* [min cnt buckets - 1], newest first *)
+    mutable blocks : Block.t array;  (* slot -> block *)
+    mutable key : int array;  (* slot -> Block.pack *)
+    mutable cnt : int array;
+    mutable last : int array;
+    mutable free : int array;  (* stack of free slots *)
+    mutable nfree : int;
+    ghost : Ghost.t;  (* a = reference count at eviction *)
     cap : int;
     mutable w : float;  (* frequency weight, 0.05 .. 0.95 *)
     mutable nudges : int;
@@ -713,110 +714,180 @@ module Awrp = struct
 
   let w_max = 0.95
 
+  let dummy = Block.make ~file:0 ~index:0
+
   let create ~capacity ~future:_ =
+    let cap = Stdlib.max 1 capacity in
+    let n = cap + 1 in
     {
-      resident = Hashtbl.create (4 * capacity);
-      ghost = Islab.create capacity;
-      ghost_cnt = Hashtbl.create (4 * capacity);
-      cap = Stdlib.max 1 capacity;
+      index = Itbl.create n;
+      store = Ilist.make_store n;
+      bucket = Array.init buckets (fun _ -> Ilist.create ());
+      blocks = Array.make n dummy;
+      key = Array.make n 0;
+      cnt = Array.make n 0;
+      last = Array.make n 0;
+      free = Array.init n (fun i -> n - 1 - i);
+      nfree = n;
+      ghost = Ghost.create cap;
+      cap;
       w = 0.5;
       nudges = 0;
     }
 
-  let touch t ~pos block =
-    match Hashtbl.find_opt t.resident block with
-    | Some i ->
-      i.cnt <- i.cnt + 1;
-      i.last <- pos
-    | None -> failwith "AWRP: reference to non-resident block"
+  let bucket_of cnt = if cnt < buckets then cnt - 1 else buckets - 1
 
-  let forget_ghost t block =
-    Islab.remove t.ghost block;
-    Hashtbl.remove t.ghost_cnt block
+  let grow t =
+    let old = Array.length t.key in
+    let n = 2 * old in
+    Ilist.grow_store t.store n;
+    let blocks = Array.make n dummy in
+    Array.blit t.blocks 0 blocks 0 old;
+    t.blocks <- blocks;
+    t.key <- widen t.key n;
+    t.cnt <- widen t.cnt n;
+    t.last <- widen t.last n;
+    t.free <- widen t.free n;
+    for i = 0 to old - 1 do
+      t.free.(i) <- n - 1 - i
+    done;
+    t.nfree <- old
+
+  (* Unlink [s] and put it at the front of the bucket for [cnt], as the
+     newest block referenced at [pos]. *)
+  let place t s ~cnt ~pos =
+    Ilist.remove t.store t.bucket.(bucket_of t.cnt.(s)) s;
+    t.cnt.(s) <- cnt;
+    t.last.(s) <- pos;
+    Ilist.push_front t.store t.bucket.(bucket_of cnt) s
+
+  let admit t ~pos block key =
+    let s = Itbl.find t.index key in
+    if s >= 0 then place t s ~cnt:1 ~pos
+    else begin
+      if t.nfree = 0 then grow t;
+      t.nfree <- t.nfree - 1;
+      let s = t.free.(t.nfree) in
+      t.blocks.(s) <- block;
+      t.key.(s) <- key;
+      t.cnt.(s) <- 1;
+      t.last.(s) <- pos;
+      Itbl.set t.index key s;
+      Ilist.push_front t.store t.bucket.(0) s
+    end
+
+  let release t s =
+    Ilist.remove t.store t.bucket.(bucket_of t.cnt.(s)) s;
+    Itbl.remove t.index t.key.(s);
+    t.blocks.(s) <- dummy;
+    t.free.(t.nfree) <- s;
+    t.nfree <- t.nfree + 1
 
   let on_event t = function
-    | Reference { pos; block } -> touch t ~pos block
+    | Reference { pos; block } ->
+      let s = Itbl.find t.index (Block.pack block) in
+      if s < 0 then failwith "AWRP: reference to non-resident block";
+      place t s ~cnt:(t.cnt.(s) + 1) ~pos
     | Admit { pos; block } ->
-      (match Hashtbl.find_opt t.ghost_cnt block with
-      | Some cnt ->
+      let key = Block.pack block in
+      let g = Ghost.find t.ghost key in
+      if g >= 0 then begin
         (* The stream disagreed with an eviction: favour the term that
            would have retained this block. *)
-        if cnt >= 2 then t.w <- Stdlib.min w_max (t.w +. step)
+        if t.ghost.a.(g) >= 2 then t.w <- Stdlib.min w_max (t.w +. step)
         else t.w <- Stdlib.max w_min (t.w -. step);
         t.nudges <- t.nudges + 1;
-        forget_ghost t block
-      | None -> ());
-      Hashtbl.replace t.resident block { cnt = 1; last = pos }
+        Ghost.remove t.ghost g
+      end;
+      admit t ~pos block key
     | Evict { block } ->
-      (match Hashtbl.find_opt t.resident block with
-      | Some i ->
-        Islab.push_front t.ghost block;
-        Hashtbl.replace t.ghost_cnt block i.cnt;
-        while Islab.length t.ghost > t.cap do
-          let b = Islab.back t.ghost in
-          forget_ghost t b
-        done
-      | None -> ());
-      Hashtbl.remove t.resident block
-    | Invalidate { block } -> Hashtbl.remove t.resident block
+      let key = Block.pack block in
+      let s = Itbl.find t.index key in
+      if s >= 0 then begin
+        Ghost.push t.ghost key ~a:t.cnt.(s) ~b:0;
+        while Ghost.over t.ghost do
+          Ghost.remove t.ghost (Ghost.oldest t.ghost)
+        done;
+        release t s
+      end
+    | Invalidate { block } ->
+      let s = Itbl.find t.index (Block.pack block) in
+      if s >= 0 then release t s
     | Hint _ -> ()
 
-  (* Rank = w * saturating-frequency + (1-w) * recency; evict the
-     minimum. The fold computes an explicit (value, block) minimum with
-     a [Block.compare] tie-break, so the choice is independent of table
-     iteration order. *)
+  (* Rank = w * saturating-frequency + (1-w) * recency; the victim is
+     the minimum, ties broken by the smaller block. *)
+  let[@inline] rank t ~pos s =
+    let f = float_of_int t.cnt.(s) /. 16.0 in
+    let freq = if 1.0 <= f then 1.0 else f in
+    let recency = 1.0 /. float_of_int (1 + pos - t.last.(s)) in
+    (t.w *. freq) +. ((1.0 -. t.w) *. recency)
+
   let victim t ~pos ~missing:_ =
-    let best = ref None in
-    Hashtbl.iter
-      (fun block i ->
-        let freq = Stdlib.min 1.0 (float_of_int i.cnt /. 16.0) in
-        let recency = 1.0 /. float_of_int (1 + pos - i.last) in
-        let value = (t.w *. freq) +. ((1.0 -. t.w) *. recency) in
-        match !best with
-        | None -> best := Some (value, block)
-        | Some (bv, bb) ->
-          if value < bv || (value = bv && Block.compare block bb < 0) then
-            best := Some (value, block))
-      t.resident;
-    match !best with
-    | Some (_, block) -> block
-    | None -> failwith "AWRP: empty"
+    let best = ref 0.0 and found = ref false in
+    for b = 0 to buckets - 1 do
+      let s = Ilist.back t.bucket.(b) in
+      if s <> Ilist.nil then begin
+        let v = rank t ~pos s in
+        if (not !found) || v < !best then begin
+          best := v;
+          found := true
+        end
+      end
+    done;
+    if not !found then failwith "AWRP: empty";
+    let pick = ref Ilist.nil in
+    for b = 0 to buckets - 1 do
+      let s = ref (Ilist.back t.bucket.(b)) in
+      while !s <> Ilist.nil && rank t ~pos !s = !best do
+        if !pick = Ilist.nil || t.key.(!s) < t.key.(!pick) then pick := !s;
+        s := Ilist.next_toward_front t.store !s
+      done
+    done;
+    t.blocks.(!pick)
 
   let stats t =
     [
       ("w", t.w);
       ("nudges", float_of_int t.nudges);
-      ("ghost", float_of_int (Islab.length t.ghost));
-      ("resident", float_of_int (Hashtbl.length t.resident));
+      ("ghost", float_of_int (Ghost.length t.ghost));
+      ("resident", float_of_int (Itbl.length t.index));
     ]
 end
 
 module Perceptron = struct
   (* LearnedCache-style perceptron eviction: each resident block is
      scored by a dot product of learned weights with a feature vector
-     (bias, recency rank, saturating log reference count, priority-level
+     (bias, recency age, saturating log reference count, priority-level
      hint, file-id hash); the lowest score is evicted. Learning is
      ghost-driven: evicting a block that promptly returns was a mistake
      (weights move toward its features); a ghost expiring un-referenced
      confirms the eviction (weights move away). Weights are clamped, so
-     they stay finite on any stream — asserted by qcheck. *)
+     they stay finite on any stream — asserted by qcheck.
+
+     The weights change at almost every eviction, so the victim query is
+     a linear scan — but a dense one: resident blocks sit in a
+     swap-remove slot array ([cnt]/[last]/[level] columns), the features
+     are computed inline from the columns, and nothing is allocated. A
+     ghost keeps the eviction-time [cnt] and [level]: eviction-time
+     features are taken at the block's own last reference (age 0), so
+     the two ints determine the feature vector exactly. *)
   let n_features = 5
 
   let lr = 0.0625
 
   let w_clamp = 4.0
 
-  type info = {
-    mutable cnt : int;
-    mutable last : int;
-    mutable level : int;  (* from Hint events; 0 = unhinted *)
-  }
-
   type t = {
     cap : int;
-    resident : (Block.t, info) Hashtbl.t;
-    ghost : Islab.t;
-    ghost_x : (Block.t, float array) Hashtbl.t;  (* eviction-time features *)
+    index : Itbl.t;  (* Block.pack -> slot *)
+    mutable n : int;  (* slots [0, n) are resident *)
+    mutable blocks : Block.t array;
+    mutable key : int array;  (* slot -> Block.pack *)
+    mutable cnt : int array;
+    mutable last : int array;
+    mutable level : int array;  (* from Hint events; 0 = unhinted *)
+    ghost : Ghost.t;  (* a = cnt, b = level at eviction *)
     w : float array;
     mutable updates : int;
   }
@@ -829,102 +900,162 @@ module Perceptron = struct
 
   let needs_future = false
 
+  let dummy = Block.make ~file:0 ~index:0
+
   let create ~capacity ~future:_ =
+    let cap = Stdlib.max 1 capacity in
+    let n = cap + 1 in
     {
-      cap = Stdlib.max 1 capacity;
-      resident = Hashtbl.create (4 * capacity);
-      ghost = Islab.create capacity;
-      ghost_x = Hashtbl.create (4 * capacity);
+      cap;
+      index = Itbl.create n;
+      n = 0;
+      blocks = Array.make n dummy;
+      key = Array.make n 0;
+      cnt = Array.make n 0;
+      last = Array.make n 0;
+      level = Array.make n 0;
+      ghost = Ghost.create cap;
       w = Array.make n_features 0.0;
       updates = 0;
     }
 
-  let features t ~pos block i =
-    let age = float_of_int (pos - i.last) /. float_of_int t.cap in
-    let freq = Stdlib.min 1.0 (log (1.0 +. float_of_int i.cnt) /. log 256.0) in
-    let level = float_of_int i.level /. 8.0 in
-    let file_hash =
-      float_of_int (Block.file block * 2654435761 land 255) /. 255.0
-    in
-    [| 1.0; age; freq; level; file_hash |]
+  (* The saturating log-count feature, tabulated: it is 1.0 from a count
+     of 255 on, so entry 256 stands for every larger count. *)
+  let freq_table =
+    Array.init 257 (fun c ->
+        Stdlib.min 1.0 (log (1.0 +. float_of_int c) /. log 256.0))
 
-  let score t x =
-    let s = ref 0.0 in
-    for k = 0 to n_features - 1 do
-      s := !s +. (t.w.(k) *. x.(k))
-    done;
-    !s
+  let[@inline] freq cnt = freq_table.(if cnt < 256 then cnt else 256)
 
-  let clamp v =
+  (* [level / 8.0]; scaling by a power of two rounds the same real
+     value, so the product is bit-identical to the quotient. *)
+  let[@inline] level_feature level = float_of_int level *. 0.125
+
+  (* The file-id hash feature takes 256 values, so it is tabulated with
+     the original expression too. *)
+  let file_hash_table = Array.init 256 (fun h -> float_of_int h /. 255.0)
+
+  let[@inline] file_hash key = file_hash_table.((key lsr 32) * 2654435761 land 255)
+
+  let[@inline] clamp v =
     if v > w_clamp then w_clamp else if v < -.w_clamp then -.w_clamp else v
 
-  let learn t x ~sign =
-    for k = 0 to n_features - 1 do
-      t.w.(k) <- clamp (t.w.(k) +. (sign *. lr *. x.(k)))
-    done;
+  (* Move the weights along the eviction-time features of a ghost:
+     (1, age 0, freq, level, file hash). *)
+  let learn t g ~sign =
+    let ghost = t.ghost and w = t.w in
+    let x2 = freq ghost.a.(g)
+    and x3 = level_feature ghost.b.(g)
+    and x4 = file_hash ghost.key.(g) in
+    w.(0) <- clamp (w.(0) +. (sign *. lr *. 1.0));
+    w.(1) <- clamp (w.(1) +. (sign *. lr *. 0.0));
+    w.(2) <- clamp (w.(2) +. (sign *. lr *. x2));
+    w.(3) <- clamp (w.(3) +. (sign *. lr *. x3));
+    w.(4) <- clamp (w.(4) +. (sign *. lr *. x4));
     t.updates <- t.updates + 1
 
-  let forget_ghost t block =
-    Islab.remove t.ghost block;
-    Hashtbl.remove t.ghost_x block
+  let grow t =
+    let n = 2 * Array.length t.key in
+    let blocks = Array.make n dummy in
+    Array.blit t.blocks 0 blocks 0 t.n;
+    t.blocks <- blocks;
+    t.key <- widen t.key n;
+    t.cnt <- widen t.cnt n;
+    t.last <- widen t.last n;
+    t.level <- widen t.level n
+
+  (* Swap-remove: the last resident slot fills the hole. *)
+  let release t s =
+    Itbl.remove t.index t.key.(s);
+    let l = t.n - 1 in
+    if s <> l then begin
+      t.blocks.(s) <- t.blocks.(l);
+      t.key.(s) <- t.key.(l);
+      t.cnt.(s) <- t.cnt.(l);
+      t.last.(s) <- t.last.(l);
+      t.level.(s) <- t.level.(l);
+      Itbl.set t.index t.key.(s) s
+    end;
+    t.blocks.(l) <- dummy;
+    t.n <- l
 
   let on_event t = function
     | Reference { pos; block } ->
-      (match Hashtbl.find_opt t.resident block with
-      | Some i ->
-        i.cnt <- i.cnt + 1;
-        i.last <- pos
-      | None -> failwith "PERCEPTRON: reference to non-resident block")
+      let s = Itbl.find t.index (Block.pack block) in
+      if s < 0 then failwith "PERCEPTRON: reference to non-resident block";
+      t.cnt.(s) <- t.cnt.(s) + 1;
+      t.last.(s) <- pos
     | Admit { pos; block } ->
-      (match Hashtbl.find_opt t.ghost_x block with
-      | Some x ->
+      let key = Block.pack block in
+      let g = Ghost.find t.ghost key in
+      if g >= 0 then begin
         (* Mistake: the stream wanted this block back. Blocks that look
            like it should score higher (be kept). *)
-        learn t x ~sign:1.0;
-        forget_ghost t block
-      | None -> ());
-      Hashtbl.replace t.resident block { cnt = 1; last = pos; level = 0 }
+        learn t g ~sign:1.0;
+        Ghost.remove t.ghost g
+      end;
+      let s = Itbl.find t.index key in
+      let s =
+        if s >= 0 then s
+        else begin
+          if t.n = Array.length t.key then grow t;
+          let s = t.n in
+          t.n <- s + 1;
+          t.blocks.(s) <- block;
+          t.key.(s) <- key;
+          Itbl.set t.index key s;
+          s
+        end
+      in
+      t.cnt.(s) <- 1;
+      t.last.(s) <- pos;
+      t.level.(s) <- 0
     | Evict { block } ->
-      (match Hashtbl.find_opt t.resident block with
-      | Some i ->
-        (* Remember the eviction-time features; score at [last] so the
-           stored vector does not depend on when the kernel applied the
-           decision. *)
-        let x = features t ~pos:i.last block i in
-        Islab.push_front t.ghost block;
-        Hashtbl.replace t.ghost_x block x;
-        while Islab.length t.ghost > t.cap do
-          let b = Islab.back t.ghost in
+      let key = Block.pack block in
+      let s = Itbl.find t.index key in
+      if s >= 0 then begin
+        Ghost.push t.ghost key ~a:t.cnt.(s) ~b:t.level.(s);
+        while Ghost.over t.ghost do
+          let g = Ghost.oldest t.ghost in
           (* Expired un-referenced: the eviction was right. *)
-          (match Hashtbl.find_opt t.ghost_x b with
-          | Some gx -> learn t gx ~sign:(-1.0)
-          | None -> ());
-          forget_ghost t b
-        done
-      | None -> ());
-      Hashtbl.remove t.resident block
-    | Invalidate { block } -> Hashtbl.remove t.resident block
+          learn t g ~sign:(-1.0);
+          Ghost.remove t.ghost g
+        done;
+        release t s
+      end
+    | Invalidate { block } ->
+      let s = Itbl.find t.index (Block.pack block) in
+      if s >= 0 then release t s
     | Hint { block; level } ->
-      (match Hashtbl.find_opt t.resident block with
-      | Some i -> i.level <- level
-      | None -> ())
+      let s = Itbl.find t.index (Block.pack block) in
+      if s >= 0 then t.level.(s) <- level
 
-  (* Lowest dot-product score loses; explicit minimum with a
-     [Block.compare] tie-break keeps the scan order-independent. *)
+  (* Lowest dot-product score loses, ties broken by the smaller block:
+     an explicit (score, block) minimum, so the scan order is
+     irrelevant. The dot product keeps the feature order of the weight
+     vector, so every score is bit-identical to a per-block feature
+     array's. *)
   let victim t ~pos ~missing:_ =
-    let best = ref None in
-    Hashtbl.iter
-      (fun block i ->
-        let value = score t (features t ~pos block i) in
-        match !best with
-        | None -> best := Some (value, block)
-        | Some (bv, bb) ->
-          if value < bv || (value = bv && Block.compare block bb < 0) then
-            best := Some (value, block))
-      t.resident;
-    match !best with
-    | Some (_, block) -> block
-    | None -> failwith "PERCEPTRON: empty"
+    if t.n = 0 then failwith "PERCEPTRON: empty";
+    let w = t.w in
+    let w0 = w.(0) and w1 = w.(1) and w2 = w.(2) and w3 = w.(3) and w4 = w.(4) in
+    let capf = float_of_int t.cap in
+    let best = ref 0.0 and pick = ref (-1) in
+    for s = 0 to t.n - 1 do
+      let key = t.key.(s) in
+      let age = float_of_int (pos - t.last.(s)) /. capf in
+      let v =
+        0.0 +. (w0 *. 1.0) +. (w1 *. age)
+        +. (w2 *. freq t.cnt.(s))
+        +. (w3 *. level_feature t.level.(s))
+        +. (w4 *. file_hash key)
+      in
+      if !pick < 0 || v < !best || (v = !best && key < t.key.(!pick)) then begin
+        best := v;
+        pick := s
+      end
+    done;
+    t.blocks.(!pick)
 
   let stats t =
     List.concat
@@ -932,8 +1063,8 @@ module Perceptron = struct
         Array.to_list (Array.mapi (fun k v -> (Printf.sprintf "w%d" k, v)) t.w);
         [
           ("updates", float_of_int t.updates);
-          ("ghost", float_of_int (Islab.length t.ghost));
-          ("resident", float_of_int (Hashtbl.length t.resident));
+          ("ghost", float_of_int (Ghost.length t.ghost));
+          ("resident", float_of_int t.n);
         ];
       ]
 end

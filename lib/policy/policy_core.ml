@@ -1,4 +1,5 @@
 module Block = Acfc_core.Block
+module Itbl = Acfc_core.Itbl
 
 type event =
   | Reference of { pos : int; block : Block.t }
@@ -52,27 +53,30 @@ type replay = { hits : int; misses : int; victims : Block.t list }
 let replay (module C : CORE) ~capacity trace =
   if capacity <= 0 then invalid_arg "Policy_core.replay: capacity must be positive";
   let t = C.create ~capacity ~future:trace in
-  let resident = Hashtbl.create (2 * capacity) in
+  (* The resident set, keyed by packed block id (the value is unused). *)
+  let resident = Itbl.create capacity in
   let hits = ref 0 and misses = ref 0 and victims = ref [] in
   Array.iteri
     (fun pos block ->
-      if Hashtbl.mem resident block then begin
+      let key = Block.pack block in
+      if Itbl.mem resident key then begin
         incr hits;
         C.on_event t (Reference { pos; block })
       end
       else begin
         incr misses;
-        if Hashtbl.length resident >= capacity then begin
+        if Itbl.length resident >= capacity then begin
           let v = C.victim t ~pos ~missing:block in
-          if not (Hashtbl.mem resident v) then
+          let vkey = Block.pack v in
+          if not (Itbl.mem resident vkey) then
             failwith
               (Printf.sprintf "Policy_core.replay: %s chose a non-resident victim"
                  C.name);
-          Hashtbl.remove resident v;
+          Itbl.remove resident vkey;
           victims := v :: !victims;
           C.on_event t (Evict { block = v })
         end;
-        Hashtbl.replace resident block ();
+        Itbl.set resident key 0;
         C.on_event t (Admit { pos; block })
       end)
     trace;

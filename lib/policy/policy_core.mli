@@ -13,7 +13,14 @@
     reference in the demand stream. Both adapters number references the
     same way (hits and miss-admissions each consume one position), which
     is what lets position-keyed policies (LRU-2, OPT) replay
-    identically at both levels. *)
+    identically at both levels.
+
+    Positions strictly increase: every {!Reference} and {!Admit} carries
+    a larger [pos] than any event before it, and a {!CORE.victim} query's
+    [pos] is larger than every position fed so far (it is the position
+    the paired [Admit] will carry). Positions need not be consecutive.
+    Cores may rely on this: AWRP keeps each frequency bucket ordered by
+    last reference simply by pushing to the front. *)
 
 module Block = Acfc_core.Block
 

@@ -47,6 +47,9 @@ module Perceptron : Policy_sim.POLICY
 (** LearnedCache-style perceptron eviction: learned linear scoring of
     recency/frequency/level/file features, trained on ghost hits. *)
 
+val of_core : (module Acfc_policy.Policy_core.CORE) -> (module Policy_sim.POLICY)
+(** The offline face of any core, e.g. a scan twin from {!Reference}. *)
+
 val all : (module Policy_sim.POLICY) list
 (** Every registered policy, in registry order: the stock eight
     ([Opt] last) followed by [Arc], [Awrp], [Perceptron]. *)

@@ -303,3 +303,276 @@ let lockstep (module A : Policy_sim.POLICY) (module B : Policy_sim.POLICY) ~capa
        trace
    with Exit -> ());
   !divergence
+
+(* {2 Scan twins of the adaptive cores}
+
+   AWRP and PERCEPTRON as they were before their columnar rewrite in
+   {!Acfc_policy.Cores}: per-block records in a polymorphic [Hashtbl],
+   and a victim query that scans every resident block for an explicit
+   (value, block) minimum. Kept as CORE oracles for the lockstep in
+   [test/test_policy_core.ml] and as the naive side of the
+   [policy-miss/awrp] and [policy-miss/perceptron] speedup rows. O(n)
+   and allocating per miss — do not use outside tests and benches. *)
+
+module Islab = Acfc_policy.Islab
+open Acfc_policy.Policy_core
+
+module Awrp_scan = struct
+  (* Adaptive Weight Ranking Policy (arXiv:1107.4851): every resident
+     block is ranked by a weighted sum of a frequency term and a recency
+     term; the weight itself adapts online. A ghost list remembers
+     recently evicted blocks with their reference counts — when an
+     evicted block returns, the mix is nudged toward the term that would
+     have kept it (frequency if it was referenced repeatedly, recency
+     otherwise). All arithmetic is RNG-free and the victim scan uses an
+     order-independent minimum, so a fixed stream replays
+     bit-identically. *)
+  type info = { mutable cnt : int; mutable last : int }
+
+  type t = {
+    resident : (Block.t, info) Hashtbl.t;
+    ghost : Islab.t;  (* recent evictions, MRU at front, <= cap *)
+    ghost_cnt : (Block.t, int) Hashtbl.t;
+    cap : int;
+    mutable w : float;  (* frequency weight, 0.05 .. 0.95 *)
+    mutable nudges : int;
+  }
+
+  let name = "AWRP-SCAN"
+
+  let summary = "adaptive weighted frequency+recency ranking (arXiv:1107.4851)"
+
+  let adaptive = true
+
+  let needs_future = false
+
+  let step = 0.05
+
+  let w_min = 0.05
+
+  let w_max = 0.95
+
+  let create ~capacity ~future:_ =
+    {
+      resident = Hashtbl.create (4 * capacity);
+      ghost = Islab.create capacity;
+      ghost_cnt = Hashtbl.create (4 * capacity);
+      cap = Stdlib.max 1 capacity;
+      w = 0.5;
+      nudges = 0;
+    }
+
+  let touch t ~pos block =
+    match Hashtbl.find_opt t.resident block with
+    | Some i ->
+      i.cnt <- i.cnt + 1;
+      i.last <- pos
+    | None -> failwith "AWRP: reference to non-resident block"
+
+  let forget_ghost t block =
+    Islab.remove t.ghost block;
+    Hashtbl.remove t.ghost_cnt block
+
+  let on_event t = function
+    | Reference { pos; block } -> touch t ~pos block
+    | Admit { pos; block } ->
+      (match Hashtbl.find_opt t.ghost_cnt block with
+      | Some cnt ->
+        (* The stream disagreed with an eviction: favour the term that
+           would have retained this block. *)
+        if cnt >= 2 then t.w <- Stdlib.min w_max (t.w +. step)
+        else t.w <- Stdlib.max w_min (t.w -. step);
+        t.nudges <- t.nudges + 1;
+        forget_ghost t block
+      | None -> ());
+      Hashtbl.replace t.resident block { cnt = 1; last = pos }
+    | Evict { block } ->
+      (match Hashtbl.find_opt t.resident block with
+      | Some i ->
+        Islab.push_front t.ghost block;
+        Hashtbl.replace t.ghost_cnt block i.cnt;
+        while Islab.length t.ghost > t.cap do
+          let b = Islab.back t.ghost in
+          forget_ghost t b
+        done
+      | None -> ());
+      Hashtbl.remove t.resident block
+    | Invalidate { block } -> Hashtbl.remove t.resident block
+    | Hint _ -> ()
+
+  (* Rank = w * saturating-frequency + (1-w) * recency; evict the
+     minimum. The fold computes an explicit (value, block) minimum with
+     a [Block.compare] tie-break, so the choice is independent of table
+     iteration order. *)
+  let victim t ~pos ~missing:_ =
+    let best = ref None in
+    Hashtbl.iter
+      (fun block i ->
+        let freq = Stdlib.min 1.0 (float_of_int i.cnt /. 16.0) in
+        let recency = 1.0 /. float_of_int (1 + pos - i.last) in
+        let value = (t.w *. freq) +. ((1.0 -. t.w) *. recency) in
+        match !best with
+        | None -> best := Some (value, block)
+        | Some (bv, bb) ->
+          if value < bv || (value = bv && Block.compare block bb < 0) then
+            best := Some (value, block))
+      t.resident;
+    match !best with
+    | Some (_, block) -> block
+    | None -> failwith "AWRP: empty"
+
+  let stats t =
+    [
+      ("w", t.w);
+      ("nudges", float_of_int t.nudges);
+      ("ghost", float_of_int (Islab.length t.ghost));
+      ("resident", float_of_int (Hashtbl.length t.resident));
+    ]
+end
+
+module Perceptron_scan = struct
+  (* LearnedCache-style perceptron eviction: each resident block is
+     scored by a dot product of learned weights with a feature vector
+     (bias, recency rank, saturating log reference count, priority-level
+     hint, file-id hash); the lowest score is evicted. Learning is
+     ghost-driven: evicting a block that promptly returns was a mistake
+     (weights move toward its features); a ghost expiring un-referenced
+     confirms the eviction (weights move away). Weights are clamped, so
+     they stay finite on any stream — asserted by qcheck. *)
+  let n_features = 5
+
+  let lr = 0.0625
+
+  let w_clamp = 4.0
+
+  type info = {
+    mutable cnt : int;
+    mutable last : int;
+    mutable level : int;  (* from Hint events; 0 = unhinted *)
+  }
+
+  type t = {
+    cap : int;
+    resident : (Block.t, info) Hashtbl.t;
+    ghost : Islab.t;
+    ghost_x : (Block.t, float array) Hashtbl.t;  (* eviction-time features *)
+    w : float array;
+    mutable updates : int;
+  }
+
+  let name = "PERCEPTRON-SCAN"
+
+  let summary = "online perceptron over recency/frequency/level/file features"
+
+  let adaptive = true
+
+  let needs_future = false
+
+  let create ~capacity ~future:_ =
+    {
+      cap = Stdlib.max 1 capacity;
+      resident = Hashtbl.create (4 * capacity);
+      ghost = Islab.create capacity;
+      ghost_x = Hashtbl.create (4 * capacity);
+      w = Array.make n_features 0.0;
+      updates = 0;
+    }
+
+  let features t ~pos block i =
+    let age = float_of_int (pos - i.last) /. float_of_int t.cap in
+    let freq = Stdlib.min 1.0 (log (1.0 +. float_of_int i.cnt) /. log 256.0) in
+    let level = float_of_int i.level /. 8.0 in
+    let file_hash =
+      float_of_int (Block.file block * 2654435761 land 255) /. 255.0
+    in
+    [| 1.0; age; freq; level; file_hash |]
+
+  let score t x =
+    let s = ref 0.0 in
+    for k = 0 to n_features - 1 do
+      s := !s +. (t.w.(k) *. x.(k))
+    done;
+    !s
+
+  let clamp v =
+    if v > w_clamp then w_clamp else if v < -.w_clamp then -.w_clamp else v
+
+  let learn t x ~sign =
+    for k = 0 to n_features - 1 do
+      t.w.(k) <- clamp (t.w.(k) +. (sign *. lr *. x.(k)))
+    done;
+    t.updates <- t.updates + 1
+
+  let forget_ghost t block =
+    Islab.remove t.ghost block;
+    Hashtbl.remove t.ghost_x block
+
+  let on_event t = function
+    | Reference { pos; block } ->
+      (match Hashtbl.find_opt t.resident block with
+      | Some i ->
+        i.cnt <- i.cnt + 1;
+        i.last <- pos
+      | None -> failwith "PERCEPTRON: reference to non-resident block")
+    | Admit { pos; block } ->
+      (match Hashtbl.find_opt t.ghost_x block with
+      | Some x ->
+        (* Mistake: the stream wanted this block back. Blocks that look
+           like it should score higher (be kept). *)
+        learn t x ~sign:1.0;
+        forget_ghost t block
+      | None -> ());
+      Hashtbl.replace t.resident block { cnt = 1; last = pos; level = 0 }
+    | Evict { block } ->
+      (match Hashtbl.find_opt t.resident block with
+      | Some i ->
+        (* Remember the eviction-time features; score at [last] so the
+           stored vector does not depend on when the kernel applied the
+           decision. *)
+        let x = features t ~pos:i.last block i in
+        Islab.push_front t.ghost block;
+        Hashtbl.replace t.ghost_x block x;
+        while Islab.length t.ghost > t.cap do
+          let b = Islab.back t.ghost in
+          (* Expired un-referenced: the eviction was right. *)
+          (match Hashtbl.find_opt t.ghost_x b with
+          | Some gx -> learn t gx ~sign:(-1.0)
+          | None -> ());
+          forget_ghost t b
+        done
+      | None -> ());
+      Hashtbl.remove t.resident block
+    | Invalidate { block } -> Hashtbl.remove t.resident block
+    | Hint { block; level } ->
+      (match Hashtbl.find_opt t.resident block with
+      | Some i -> i.level <- level
+      | None -> ())
+
+  (* Lowest dot-product score loses; explicit minimum with a
+     [Block.compare] tie-break keeps the scan order-independent. *)
+  let victim t ~pos ~missing:_ =
+    let best = ref None in
+    Hashtbl.iter
+      (fun block i ->
+        let value = score t (features t ~pos block i) in
+        match !best with
+        | None -> best := Some (value, block)
+        | Some (bv, bb) ->
+          if value < bv || (value = bv && Block.compare block bb < 0) then
+            best := Some (value, block))
+      t.resident;
+    match !best with
+    | Some (_, block) -> block
+    | None -> failwith "PERCEPTRON: empty"
+
+  let stats t =
+    List.concat
+      [
+        Array.to_list (Array.mapi (fun k v -> (Printf.sprintf "w%d" k, v)) t.w);
+        [
+          ("updates", float_of_int t.updates);
+          ("ghost", float_of_int (Islab.length t.ghost));
+          ("resident", float_of_int (Hashtbl.length t.resident));
+        ];
+      ]
+end

@@ -124,7 +124,8 @@ let check ~path t =
     let* s = slot path file in
     if first < 0 then err path (Printf.sprintf "%s starts at negative block %d" verb first)
     else if count < 1 then err path (Printf.sprintf "%s count must be at least 1" verb)
-    else if first + count > s.reserve then
+    else if first > s.reserve - count then
+      (* Not [first + count > reserve]: that sum can wrap past max_int. *)
       err path
         (Printf.sprintf "%s of blocks [%d, %d) exceeds file %d's %d-block extent" verb
            first (first + count) file s.reserve)
@@ -153,7 +154,7 @@ let check ~path t =
       let* () =
         if base < 0 then err path (Printf.sprintf "read starts at negative block %d" base)
         else if range < 1 then err path "range must be at least 1"
-        else if base + range > s.reserve then
+        else if base > s.reserve - range then
           err path
             (Printf.sprintf "read of blocks [%d, %d) exceeds file %d's %d-block extent"
                base (base + range) file s.reserve)

@@ -192,6 +192,87 @@ let perceptron_finite_and_deterministic =
       let b = Pc.replay (module P.Cores.Perceptron) ~capacity:cap trace in
       !ok && a.victims = b.victims)
 
+(* {2 Columnar adaptive cores vs their scan twins}
+
+   The AWRP and PERCEPTRON cores answer victim queries from columnar
+   state (AWRP from 16 frequency buckets, PERCEPTRON by a dense scan);
+   [Reference.Awrp_scan] / [Reference.Perceptron_scan] are the original
+   full-table scans. Both sides of a pair see the same random event
+   stream: references, misses, hints, invalidations, and evictions that
+   sometimes overrule the named victim, as a live kernel may. Block
+   alphabets are small and positions sometimes jump far ahead, so
+   equal ranks (float ties) are common. The two must name the same
+   victim at every miss and end with the same stats. *)
+
+let lockstep_gen =
+  QCheck2.Gen.(
+    triple (int_range 1 8) (int_range 2 24)
+      (list_size (int_range 1 400)
+         (triple (int_range 0 99) (int_range 0 99) (int_range 0 9))))
+
+let lockstep_core (module A : Pc.CORE) (module B : Pc.CORE) (cap, alphabet, steps) =
+  let a = A.create ~capacity:cap ~future:[||] in
+  let b = B.create ~capacity:cap ~future:[||] in
+  let feed ev =
+    A.on_event a ev;
+    B.on_event b ev
+  in
+  let resident = ref [] and pos = ref 0 in
+  let nth_resident i = List.nth !resident (i mod List.length !resident) in
+  let drop block = resident := List.filter (fun x -> x <> block) !resident in
+  let block_of id = blk ~file:(id mod 3) (id / 3) in
+  List.iter
+    (fun (op, x, y) ->
+      if op < 60 then begin
+        let block = block_of (x mod alphabet) in
+        if List.mem block !resident then feed (Pc.Reference { pos = !pos; block })
+        else begin
+          if List.length !resident >= cap then begin
+            let va = A.victim a ~pos:!pos ~missing:block in
+            let vb = B.victim b ~pos:!pos ~missing:block in
+            if va <> vb then
+              QCheck2.Test.fail_reportf "%s named %a, %s named %a at pos %d" A.name
+                Core.Block.pp va B.name Core.Block.pp vb !pos;
+            (* Now and then the kernel overrules the named victim. *)
+            let out = if y = 0 then nth_resident x else va in
+            drop out;
+            feed (Pc.Evict { block = out })
+          end;
+          resident := block :: !resident;
+          feed (Pc.Admit { pos = !pos; block })
+        end;
+        incr pos
+      end
+      else if op < 75 then begin
+        if !resident <> [] then begin
+          let block = nth_resident x in
+          drop block;
+          feed (Pc.Invalidate { block })
+        end
+      end
+      else begin
+        feed (Pc.Hint { block = block_of (x mod alphabet); level = y });
+        (* Positions need only increase. A long jump makes recencies so
+           small that blocks in one frequency bucket round to equal
+           ranks. *)
+        if y = 9 then pos := !pos + (1 lsl 32)
+      end)
+    steps;
+  if A.stats a <> B.stats b then
+    QCheck2.Test.fail_reportf "%s and %s stats differ after the stream" A.name B.name;
+  true
+
+let awrp_matches_scan =
+  qcheck ~count:1000 "AWRP buckets name the scan twin's victims" lockstep_gen
+    (lockstep_core (module P.Cores.Awrp) (module Acfc_replacement.Reference.Awrp_scan))
+
+let perceptron_matches_scan =
+  qcheck ~count:1000 "PERCEPTRON dense scan names the scan twin's victims"
+    lockstep_gen
+    (lockstep_core
+       (module P.Cores.Perceptron)
+       (module Acfc_replacement.Reference.Perceptron_scan))
+
 (* {2 Live adapter odds and ends} *)
 
 let live_surface () =
@@ -212,5 +293,7 @@ let suites =
         awrp_deterministic;
         awrp_weight_clamped;
         perceptron_finite_and_deterministic;
+        awrp_matches_scan;
+        perceptron_matches_scan;
       ] );
   ]

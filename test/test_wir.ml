@@ -606,6 +606,27 @@ let validate_errors () =
       ( p [ f; Wir.open_file ~name:"f" ~size_blocks:1 () ],
         {|wir: duplicate file name "f" at $.ops[1]|} );
     ];
+  (* Extents that end past max_int: a check that adds [first + count]
+     (or [base + range]) wraps negative and accepts them. *)
+  let huge = 4_000_000_000_000_000_000 in
+  let rejects what program =
+    match Wir.validate program with
+    | Ok () -> Alcotest.fail (what ^ " past max_int validated")
+    | Error e ->
+      chk_bool what true
+        (contains_sub ~sub:"exceeds file 0's 10-block extent at $.ops[1]" e)
+  in
+  rejects "read" (p [ f; Wir.read ~file:0 ~first:huge ~count:huge () ]);
+  rejects "write" (p [ f; Wir.write ~file:0 ~first:huge ~count:huge () ]);
+  rejects "rand_read" (p [ f; Wir.rand_read ~file:0 ~base:huge ~range:huge () ]);
+  (* The same read as decoded JSON: 4e18 is a valid int, so only the
+     extent check stands between it and the interpreter. *)
+  let decoded =
+    ok
+      (Wir.of_string
+         {|{"schema":"acfc-wir/1","name":"t","ops":[{"op":"open","name":"f","size_blocks":10},{"op":"read","file":0,"first":4e18,"count":4e18}]}|})
+  in
+  rejects "decoded read" decoded;
   (* The embedding form used by the scenario parser. *)
   expect_error
     "scenario: file 0 is not open (0 files opened so far) at \
