@@ -263,8 +263,8 @@ let micro_tests =
     ilist_test;
     heap_test;
     engine_event_test;
-    policy_sim_test ~name:"policy-sim/lru-cyclic" (module Acfc_replacement.Policies.Lru);
-    policy_sim_test ~name:"policy-sim/opt-cyclic" (module Acfc_replacement.Policies.Opt);
+    policy_sim_test ~name:"policy-sim/lru-cyclic" (module Acfc_policy.Cores.Lru);
+    policy_sim_test ~name:"policy-sim/opt-cyclic" (module Acfc_policy.Cores.Opt);
   ]
 
 (* Runs each test, prints the human-readable line, and returns
@@ -327,8 +327,8 @@ let run_micro () =
 module Sq = Acfc_disk.Sched_queue
 module Rt = Acfc_replacement.Trace
 module Policy_sim = Acfc_replacement.Policy_sim
-module Policies = Acfc_replacement.Policies
-module Reference = Acfc_replacement.Reference
+module Cores = Acfc_policy.Cores
+module Reference = Acfc_oracle.Reference
 
 type perf_row = {
   p_name : string;
@@ -451,16 +451,15 @@ let bench_policy_miss () =
       measure_perf ~name ~warmup:1 ~iters:1 ~batch (fun () ->
           ignore (Policy_sim.run policy ~capacity:4096 policy_miss_trace)))
     [
-      ("policy-miss/lru2", (module Policies.Lru_2 : Policy_sim.POLICY));
+      ("policy-miss/lru2", (module Cores.Lru_2 : Policy_sim.POLICY));
       ("policy-miss/lru2-naive", (module Reference.Lru_2));
-      ("policy-miss/opt", (module Policies.Opt));
+      ("policy-miss/opt", (module Cores.Opt));
       ("policy-miss/opt-naive", (module Reference.Opt));
-      ("policy-miss/rand", (module Policies.Rand));
-      ("policy-miss/awrp", (module Policies.Awrp));
-      ("policy-miss/awrp-naive", Policies.of_core (module Reference.Awrp_scan));
-      ("policy-miss/perceptron", (module Policies.Perceptron));
-      ( "policy-miss/perceptron-naive",
-        Policies.of_core (module Reference.Perceptron_scan) );
+      ("policy-miss/rand", (module Cores.Rand));
+      ("policy-miss/awrp", (module Cores.Awrp));
+      ("policy-miss/awrp-naive", (module Reference.Awrp_scan));
+      ("policy-miss/perceptron", (module Cores.Perceptron));
+      ("policy-miss/perceptron-naive", (module Reference.Perceptron_scan));
     ]
 
 (* One op = one simulator event (a timer fire through the engine's
@@ -895,25 +894,23 @@ let check_policies () =
       ("synthetic/cyclic", Rt.cyclic ~file:0 ~blocks:300 ~passes:10);
     ]
   in
-  (* Every adapter-ported stock policy against its retained record twin,
-     and the columnar adaptive cores against their full-scan twins: the
-     core extraction and the columnar rewrite must not move a single
-     victim. *)
+  (* Every stock core against its record twin, and the columnar
+     adaptive cores against their full-scan twins, each pair replayed
+     through the one loop: the core extraction and the columnar rewrite
+     must not move a single victim. *)
   let pairs =
     [
-      ("lru", (module Policies.Lru : Policy_sim.POLICY),
+      ("lru", (module Cores.Lru : Policy_sim.POLICY),
         (module Reference.Lru : Policy_sim.POLICY));
-      ("mru", (module Policies.Mru), (module Reference.Mru));
-      ("fifo", (module Policies.Fifo), (module Reference.Fifo));
-      ("clock", (module Policies.Clock), (module Reference.Clock));
-      ("lru2", (module Policies.Lru_2), (module Reference.Lru_2));
-      ("2q", (module Policies.Two_q), (module Reference.Two_q));
-      ("rand", (module Policies.Rand), (module Reference.Rand));
-      ("opt", (module Policies.Opt), (module Reference.Opt));
-      ("awrp", (module Policies.Awrp), Policies.of_core (module Reference.Awrp_scan));
-      ( "perceptron",
-        (module Policies.Perceptron),
-        Policies.of_core (module Reference.Perceptron_scan) );
+      ("mru", (module Cores.Mru), (module Reference.Mru));
+      ("fifo", (module Cores.Fifo), (module Reference.Fifo));
+      ("clock", (module Cores.Clock), (module Reference.Clock));
+      ("lru2", (module Cores.Lru_2), (module Reference.Lru_2));
+      ("2q", (module Cores.Two_q), (module Reference.Two_q));
+      ("rand", (module Cores.Rand), (module Reference.Rand));
+      ("opt", (module Cores.Opt), (module Reference.Opt));
+      ("awrp", (module Cores.Awrp), (module Reference.Awrp_scan));
+      ("perceptron", (module Cores.Perceptron), (module Reference.Perceptron_scan));
     ]
   in
   List.iter
@@ -922,7 +919,7 @@ let check_policies () =
         (fun (pname, indexed, reference) ->
           List.iter
             (fun capacity ->
-              match Reference.lockstep indexed reference ~capacity trace with
+              match Reference.first_divergence indexed reference ~capacity trace with
               | None -> ()
               | Some (pos, va, vb) ->
                 failwith
@@ -1282,7 +1279,7 @@ let run_wirgen ~quick ~corpus_seed ~jobs =
   let capacity = Stdlib.max 64 (Rt.working_set_size trace / 3) in
   Pool.map ?jobs
     (fun policy -> Policy_sim.run policy ~capacity trace)
-    Policies.all
+    Acfc_policy.Registry.all
   |> List.iter (fun result -> Format.printf "  %a@." Policy_sim.pp_result result);
   let result = Acfc_scenario.Scenario.run scenario in
   Format.printf
@@ -1361,7 +1358,7 @@ let run_tournament ~corpus_seed ~jobs =
         let results =
           Pool.map ?jobs
             (fun policy -> Policy_sim.run policy ~capacity trace)
-            Policies.all
+            Acfc_policy.Registry.all
         in
         let opt_misses =
           match

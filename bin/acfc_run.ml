@@ -424,7 +424,7 @@ let workload_replay_cmd =
     Format.printf "trace: %a@." Acfc_replacement.Trace.pp_summary trace;
     Acfc_par.Pool.map ?jobs
       (fun policy -> Acfc_replacement.Policy_sim.run policy ~capacity trace)
-      Acfc_replacement.Policies.all
+      Acfc_policy.Registry.all
     |> List.iter (fun result ->
            Format.printf "%a@." Acfc_replacement.Policy_sim.pp_result result)
   in
@@ -856,7 +856,7 @@ let policies_cmd =
        them on the pool and print in the usual order. *)
     Acfc_par.Pool.map ?jobs
       (fun policy -> Acfc_replacement.Policy_sim.run policy ~capacity trace)
-      Acfc_replacement.Policies.all
+      Acfc_policy.Registry.all
     |> List.iter (fun result ->
            Format.printf "%a@." Acfc_replacement.Policy_sim.pp_result result)
   in

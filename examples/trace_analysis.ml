@@ -15,7 +15,7 @@ module Runner = Acfc_workload.Runner
 module Scenario = Acfc_scenario.Scenario
 module Recorder = Acfc_replacement.Recorder
 module Policy_sim = Acfc_replacement.Policy_sim
-module Policies = Acfc_replacement.Policies
+module Registry = Acfc_policy.Registry
 
 let () =
   (* Record din's reference stream from a live LRU-SP run. *)
@@ -36,8 +36,8 @@ let () =
     (fun policy ->
       let r = Policy_sim.run policy ~capacity:819 trace in
       Format.printf "  %a@." Policy_sim.pp_result r)
-    Policies.all;
-  let opt = Policy_sim.run (module Policies.Opt) ~capacity:819 trace in
+    Registry.all;
+  let opt = Policy_sim.run (module Acfc_policy.Cores.Opt) ~capacity:819 trace in
   Format.printf "@.application policy vs offline optimum: %d vs %d misses%s@." live
     opt.Policy_sim.misses
     (if live = opt.Policy_sim.misses then " — the MRU strategy IS optimal here"

@@ -1,13 +1,14 @@
 (* The eleven replacement cores, each a {!Policy_core.CORE} state
    machine. The eight stock policies keep the exact victim behaviour of
-   their former [Policies] incarnations (pinned by the record-twin
-   lockstep in `bench check` and the behaviour suites), re-expressed
-   over events. The queue-based cores (FIFO, CLOCK, 2Q) formerly popped
-   their victim inside the choice; here the choice is a peek and the
-   removal happens at the {!Policy_core.Evict} event, with stamped queue
-   entries skipped lazily — for the offline replay this is the identical
-   sequence of operations, and it additionally tolerates a live kernel
-   evicting a block other than the one named (overrule, invalidation). *)
+   their former record-based incarnations (pinned by the record twins
+   that `bench check` replays against them, and by the behaviour
+   suites), re-expressed over events. The queue-based cores (FIFO,
+   CLOCK, 2Q) formerly popped their victim inside the choice; here the
+   choice is a peek and the removal happens at the {!Policy_core.Evict}
+   event, with stamped queue entries skipped lazily — for the offline
+   replay this is the identical sequence of operations, and it
+   additionally tolerates a live kernel evicting a block other than the
+   one named (overrule, invalidation). *)
 
 module Block = Acfc_core.Block
 module Ilist = Acfc_core.Ilist

@@ -21,41 +21,12 @@ module type CORE = sig
   val stats : t -> (string * float) list
 end
 
-module type SIM = sig
-  type t
-
-  val name : string
-  val init : capacity:int -> Block.t array -> t
-  val hit : t -> pos:int -> Block.t -> unit
-  val choose_victim : t -> pos:int -> missing:Block.t -> Block.t
-  val inserted : t -> pos:int -> Block.t -> unit
-  val evicted : t -> Block.t -> unit
-end
-
-module Offline (C : CORE) : SIM with type t = C.t = struct
-  type t = C.t
-
-  let name = C.name
-
-  let init ~capacity trace = C.create ~capacity ~future:trace
-
-  let hit t ~pos block = C.on_event t (Reference { pos; block })
-
-  let choose_victim t ~pos ~missing = C.victim t ~pos ~missing
-
-  let inserted t ~pos block = C.on_event t (Admit { pos; block })
-
-  let evicted t block = C.on_event t (Evict { block })
-end
-
-type replay = { hits : int; misses : int; victims : Block.t list }
-
-let replay (module C : CORE) ~capacity trace =
+let replay (module C : CORE) ~capacity ~evicted trace =
   if capacity <= 0 then invalid_arg "Policy_core.replay: capacity must be positive";
   let t = C.create ~capacity ~future:trace in
   (* The resident set, keyed by packed block id (the value is unused). *)
   let resident = Itbl.create capacity in
-  let hits = ref 0 and misses = ref 0 and victims = ref [] in
+  let hits = ref 0 in
   Array.iteri
     (fun pos block ->
       let key = Block.pack block in
@@ -64,20 +35,18 @@ let replay (module C : CORE) ~capacity trace =
         C.on_event t (Reference { pos; block })
       end
       else begin
-        incr misses;
         if Itbl.length resident >= capacity then begin
           let v = C.victim t ~pos ~missing:block in
           let vkey = Block.pack v in
           if not (Itbl.mem resident vkey) then
             failwith
-              (Printf.sprintf "Policy_core.replay: %s chose a non-resident victim"
-                 C.name);
+              (Format.asprintf "policy %s evicted non-resident %a" C.name Block.pp v);
           Itbl.remove resident vkey;
-          victims := v :: !victims;
+          evicted pos v;
           C.on_event t (Evict { block = v })
         end;
         Itbl.set resident key 0;
         C.on_event t (Admit { pos; block })
       end)
     trace;
-  { hits = !hits; misses = !misses; victims = List.rev !victims }
+  !hits

@@ -25,6 +25,5 @@ val names : string list
 val find : string -> (entry, string) result
 (** Case-insensitive lookup. The error message lists the valid names
     and, when some registered name is close (edit distance <= 2),
-    suggests it — the same message is surfaced verbatim by
-    [Policies.by_name] and, prefixed with its [$.path], by the scenario
-    codec. *)
+    suggests it — the same message is surfaced, prefixed with its
+    [$.path], by the scenario codec. *)

@@ -5,26 +5,9 @@
     policy observes accesses and chooses victims. Policies may inspect
     the whole trace (OPT does); online policies ignore it. *)
 
-module type POLICY = sig
-  type t
-
-  val name : string
-
-  val init : capacity:int -> Trace.t -> t
-  (** Fresh policy state for a run over the given trace. *)
-
-  val hit : t -> pos:int -> Acfc_core.Block.t -> unit
-  (** The block at trace position [pos] was resident. *)
-
-  val choose_victim : t -> pos:int -> missing:Acfc_core.Block.t -> Acfc_core.Block.t
-  (** The cache is full and [missing] is wanted: return a resident
-      block to evict. Called exactly when an eviction is needed. *)
-
-  val inserted : t -> pos:int -> Acfc_core.Block.t -> unit
-  (** [missing] was installed (after any eviction). *)
-
-  val evicted : t -> Acfc_core.Block.t -> unit
-end
+module type POLICY = Acfc_policy.Policy_core.CORE
+(** A policy is a decision core; the registered ones are
+    {!Acfc_policy.Registry.all}. *)
 
 type result = {
   policy : string;
@@ -35,9 +18,10 @@ type result = {
 }
 
 val run : (module POLICY) -> capacity:int -> Trace.t -> result
-(** Simulate the policy over the trace with [capacity] frames. Raises
-    [Invalid_argument] if [capacity] is not positive, or [Failure] if
-    the policy returns a non-resident victim. *)
+(** Simulate the policy over the trace with [capacity] frames through
+    {!Acfc_policy.Policy_core.replay}. Raises [Invalid_argument] if
+    [capacity] is not positive, or [Failure] if the policy returns a
+    non-resident victim. *)
 
 val miss_ratio : result -> float
 

@@ -94,6 +94,20 @@ let ( let* ) = Result.bind
 
 type slot = { reserve : int; file_name : string; mutable live : bool }
 
+(* [first] and [count] are non-negative, so [first + count] wraps
+   exactly when [first > max_int - count]; such an extent is named by
+   its start and length instead of its end. Top level, so the closures
+   in [check] do not capture it. *)
+let past_extent path verb file ~first ~count s =
+  let blocks =
+    if first > max_int - count then Printf.sprintf "%d blocks from block %d" count first
+    else Printf.sprintf "blocks [%d, %d)" first (first + count)
+  in
+  Error
+    ( path,
+      Printf.sprintf "%s of %s exceeds file %d's %d-block extent" verb blocks file
+        s.reserve )
+
 let check ~path t =
   let slots : slot array ref = ref [||] in
   let n_slots = ref 0 in
@@ -126,9 +140,7 @@ let check ~path t =
     else if count < 1 then err path (Printf.sprintf "%s count must be at least 1" verb)
     else if first > s.reserve - count then
       (* Not [first + count > reserve]: that sum can wrap past max_int. *)
-      err path
-        (Printf.sprintf "%s of blocks [%d, %d) exceeds file %d's %d-block extent" verb
-           first (first + count) file s.reserve)
+      past_extent path verb file ~first ~count s
     else Ok ()
   in
   let rec check_op ~static ~path = function
@@ -155,9 +167,7 @@ let check ~path t =
         if base < 0 then err path (Printf.sprintf "read starts at negative block %d" base)
         else if range < 1 then err path "range must be at least 1"
         else if base > s.reserve - range then
-          err path
-            (Printf.sprintf "read of blocks [%d, %d) exceeds file %d's %d-block extent"
-               base (base + range) file s.reserve)
+          past_extent path "read" file ~first:base ~count:range s
         else Ok ()
       in
       finite_nonneg path "cpu" cpu

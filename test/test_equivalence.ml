@@ -4,7 +4,7 @@
 open Acfc_core
 open Tutil
 module Policy_sim = Acfc_replacement.Policy_sim
-module Policies = Acfc_replacement.Policies
+module Cores = Acfc_policy.Cores
 
 let p0 = pid 0
 
@@ -36,7 +36,7 @@ let clock_sp_matches_policy_sim =
       let trace = Array.of_list (blocks_of refs) in
       let c = Cache.create (config ~alloc_policy:Config.Clock_sp capacity) in
       Array.iter (fun b -> ignore (Cache.read c ~pid:p0 b)) trace;
-      let reference = Policy_sim.run (module Policies.Clock) ~capacity trace in
+      let reference = Policy_sim.run (module Cores.Clock) ~capacity trace in
       Cache.misses c = reference.Policy_sim.misses)
 
 (* The kernel's global-LRU data path must agree, miss for miss, with the
@@ -47,7 +47,7 @@ let global_lru_matches_policy_sim =
       let trace = Array.of_list (blocks_of refs) in
       let c = Cache.create (config ~alloc_policy:Config.Global_lru capacity) in
       Array.iter (fun b -> ignore (Cache.read c ~pid:p0 b)) trace;
-      let reference = Policy_sim.run (module Policies.Lru) ~capacity trace in
+      let reference = Policy_sim.run (module Cores.Lru) ~capacity trace in
       Cache.misses c = reference.Policy_sim.misses
       && Cache.hits c = reference.Policy_sim.hits)
 
@@ -63,7 +63,7 @@ let single_mru_manager_matches_policy_sim =
         ok_exn (Cache.register_manager c p0);
         ok_exn (Cache.set_policy c p0 ~prio:0 Policy.Mru);
         Array.iter (fun b -> ignore (Cache.read c ~pid:p0 b)) trace;
-        let reference = Policy_sim.run (module Policies.Mru) ~capacity trace in
+        let reference = Policy_sim.run (module Cores.Mru) ~capacity trace in
         Cache.misses c = reference.Policy_sim.misses
       in
       (* The decision is the manager's under all two-level variants,

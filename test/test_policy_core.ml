@@ -30,7 +30,18 @@ let streams () =
   in
   [ ("cyclic", 16, cyclic); ("skewed", 24, skewed); ("two-file", 12, two_file) ]
 
-(* {2 Live harness} *)
+(* {2 Offline and live harnesses} *)
+
+type run = { hits : int; misses : int; victims : Core.Block.t list }
+
+(* The offline replay loop, collecting the victim sequence through its
+   eviction callback. *)
+let offline_replay entry ~capacity trace =
+  let victims = ref [] in
+  let hits =
+    Pc.replay entry ~capacity trace ~evicted:(fun _ v -> victims := v :: !victims)
+  in
+  { hits; misses = Array.length trace - hits; victims = List.rev !victims }
 
 (* Run a core as a live [fbehavior] manager: a real cache, one attached
    manager, the plug-in installed through [Control], victims recorded
@@ -54,7 +65,7 @@ let live_replay entry ~capacity trace =
       | `Hit -> incr hits
       | `Miss -> incr misses)
     trace;
-  { Pc.hits = !hits; misses = !misses; victims = List.rev !victims }
+  { hits = !hits; misses = !misses; victims = List.rev !victims }
 
 (* The tentpole assertion: for every registered policy, the offline
    replay and the live manager path produce the identical victim
@@ -65,7 +76,7 @@ let offline_live_identity () =
       let name = P.Registry.name entry in
       List.iter
         (fun (stream, capacity, trace) ->
-          let off = Pc.replay entry ~capacity trace in
+          let off = offline_replay entry ~capacity trace in
           let live = live_replay entry ~capacity trace in
           let tag what = Fmt.str "%s/%s %s" name stream what in
           check Alcotest.string (tag "victims")
@@ -157,8 +168,8 @@ let arc_ghost_bound =
 let awrp_deterministic =
   qcheck ~count:100 "AWRP replays bit-identically" trace_gen (fun (cap, refs) ->
       let trace = Array.of_list (List.map blk refs) in
-      let a = Pc.replay (module P.Cores.Awrp) ~capacity:cap trace in
-      let b = Pc.replay (module P.Cores.Awrp) ~capacity:cap trace in
+      let a = offline_replay (module P.Cores.Awrp) ~capacity:cap trace in
+      let b = offline_replay (module P.Cores.Awrp) ~capacity:cap trace in
       a.victims = b.victims && a.hits = b.hits)
 
 let awrp_weight_clamped =
@@ -188,8 +199,8 @@ let perceptron_finite_and_deterministic =
                 if not (Float.is_finite v) || Float.abs v > 4.0 +. 1e-12 then
                   ok := false)
             stats);
-      let a = Pc.replay (module P.Cores.Perceptron) ~capacity:cap trace in
-      let b = Pc.replay (module P.Cores.Perceptron) ~capacity:cap trace in
+      let a = offline_replay (module P.Cores.Perceptron) ~capacity:cap trace in
+      let b = offline_replay (module P.Cores.Perceptron) ~capacity:cap trace in
       !ok && a.victims = b.victims)
 
 (* {2 Columnar adaptive cores vs their scan twins}
@@ -264,14 +275,14 @@ let lockstep_core (module A : Pc.CORE) (module B : Pc.CORE) (cap, alphabet, step
 
 let awrp_matches_scan =
   qcheck ~count:1000 "AWRP buckets name the scan twin's victims" lockstep_gen
-    (lockstep_core (module P.Cores.Awrp) (module Acfc_replacement.Reference.Awrp_scan))
+    (lockstep_core (module P.Cores.Awrp) (module Acfc_oracle.Reference.Awrp_scan))
 
 let perceptron_matches_scan =
   qcheck ~count:1000 "PERCEPTRON dense scan names the scan twin's victims"
     lockstep_gen
     (lockstep_core
        (module P.Cores.Perceptron)
-       (module Acfc_replacement.Reference.Perceptron_scan))
+       (module Acfc_oracle.Reference.Perceptron_scan))
 
 (* {2 Live adapter odds and ends} *)
 

@@ -78,7 +78,7 @@ let live_mru_equals_opt_on_own_trace () =
   done;
   let live_misses = Cache.misses c in
   let trace = Recorder.to_trace recorder in
-  let opt = Policy_sim.run (module Policies.Opt) ~capacity:50 trace in
+  let opt = Policy_sim.run (module Acfc_policy.Cores.Opt) ~capacity:50 trace in
   chk_int "live MRU = OPT" opt.Policy_sim.misses live_misses
 
 let prefetch_excluded_by_default () =

@@ -1,6 +1,8 @@
 open Acfc_core
 open Acfc_replacement
 open Tutil
+module Cores = Acfc_policy.Cores
+module Reference = Acfc_oracle.Reference
 
 (* {2 Trace generators} *)
 
@@ -65,27 +67,27 @@ let run_policy policy ~capacity trace = Policy_sim.run policy ~capacity trace
 
 let lru_thrashes_on_cycles () =
   let t = Trace.cyclic ~file:0 ~blocks:10 ~passes:5 in
-  let r = run_policy (module Policies.Lru) ~capacity:9 t in
+  let r = run_policy (module Cores.Lru) ~capacity:9 t in
   chk_int "every access misses" 50 r.Policy_sim.misses
 
 let mru_wins_on_cycles () =
   let t = Trace.cyclic ~file:0 ~blocks:10 ~passes:5 in
-  let r = run_policy (module Policies.Mru) ~capacity:9 t in
+  let r = run_policy (module Cores.Mru) ~capacity:9 t in
   (* Pass 1 misses everything; later passes miss only around the one
      sacrificial frame. *)
   chk_bool "far fewer misses" true (r.Policy_sim.misses <= 10 + (4 * 2));
-  let opt = run_policy (module Policies.Opt) ~capacity:9 t in
+  let opt = run_policy (module Cores.Opt) ~capacity:9 t in
   chk_int "MRU is optimal on cycles" opt.Policy_sim.misses r.Policy_sim.misses
 
 let clock_second_chance () =
   (* 0 is re-referenced, so CLOCK passes over it and evicts 1. *)
   let t = [| blk 0; blk 1; blk 0; blk 2 |] in
-  let r = run_policy (module Policies.Clock) ~capacity:2 t in
+  let r = run_policy (module Cores.Clock) ~capacity:2 t in
   chk_int "misses" 3 r.Policy_sim.misses;
   (* FIFO evicts 0 despite the re-reference. *)
   let t2 = [| blk 0; blk 1; blk 0; blk 2; blk 0 |] in
-  let fifo = run_policy (module Policies.Fifo) ~capacity:2 t2 in
-  let clock = run_policy (module Policies.Clock) ~capacity:2 t2 in
+  let fifo = run_policy (module Cores.Fifo) ~capacity:2 t2 in
+  let clock = run_policy (module Cores.Clock) ~capacity:2 t2 in
   chk_bool "clock beats fifo here" true (clock.Policy_sim.misses < fifo.Policy_sim.misses)
 
 let lru2_resists_scan_pollution () =
@@ -99,8 +101,8 @@ let lru2_resists_scan_pollution () =
       [ hot; hot; scan 0; hot; scan 1; hot; scan 2; hot; scan 3; hot ]
   in
   let t = Array.of_list refs in
-  let lru2 = run_policy (module Policies.Lru_2) ~capacity:3 t in
-  let lru = run_policy (module Policies.Lru) ~capacity:3 t in
+  let lru2 = run_policy (module Cores.Lru_2) ~capacity:3 t in
+  let lru = run_policy (module Cores.Lru) ~capacity:3 t in
   chk_bool "LRU-2 beats LRU under scans" true
     (lru2.Policy_sim.misses < lru.Policy_sim.misses)
 
@@ -121,7 +123,7 @@ let opt_is_lower_bound =
     QCheck2.Gen.(pair (int_range 1 6) (list_size (int_range 1 300) (int_range 0 20)))
     (fun (capacity, refs) ->
       let t = Array.of_list (List.map blk refs) in
-      let opt = run_policy (module Policies.Opt) ~capacity t in
+      let opt = run_policy (module Cores.Opt) ~capacity t in
       List.for_all
         (fun policy ->
           (run_policy policy ~capacity t).Policy_sim.misses >= opt.Policy_sim.misses)
@@ -152,7 +154,7 @@ let opt_matches_brute_force =
     QCheck2.Gen.(list_size (int_range 1 11) (int_range 0 4))
     (fun refs ->
       let t = Array.of_list (List.map blk refs) in
-      let opt = run_policy (module Policies.Opt) ~capacity:2 t in
+      let opt = run_policy (module Cores.Opt) ~capacity:2 t in
       opt.Policy_sim.misses = brute_force_min_misses ~capacity:2 t)
 
 let two_q_scan_resistance () =
@@ -167,24 +169,24 @@ let two_q_scan_resistance () =
         scan 3; [ blk 0 ] ]
   in
   let t = Array.of_list refs in
-  let two_q = run_policy (module Policies.Two_q) ~capacity:4 t in
-  let lru = run_policy (module Policies.Lru) ~capacity:4 t in
+  let two_q = run_policy (module Cores.Two_q) ~capacity:4 t in
+  let lru = run_policy (module Cores.Lru) ~capacity:4 t in
   chk_bool "LRU misses everything" true (lru.Policy_sim.misses = Array.length t);
   chk_bool "2Q protects the promoted hot block" true
     (two_q.Policy_sim.misses < lru.Policy_sim.misses);
   (* And on a plain loop that fits, it still takes only compulsory
      misses. *)
   let loop = Trace.cyclic ~file:0 ~blocks:3 ~passes:6 in
-  let r = run_policy (module Policies.Two_q) ~capacity:8 loop in
+  let r = run_policy (module Cores.Two_q) ~capacity:8 loop in
   chk_int "compulsory only when fitting" 3 r.Policy_sim.misses
 
 (* {2 Indexed vs reference policies}
 
    The indexed LRU-2 and OPT must choose the exact victim the naive
    linear-scan reference chooses, decision by decision, on randomised
-   traces (Reference.lockstep reports the first divergence). RAND is
-   excluded by design: its swap-with-last array changes the victim for a
-   given draw, see docs/PERF.md. *)
+   traces (Reference.first_divergence names the first differing
+   victim). RAND is excluded by design: its swap-with-last array changes
+   the victim for a given draw, see docs/PERF.md. *)
 
 let lockstep_trace_gen =
   QCheck2.Gen.(
@@ -196,11 +198,11 @@ let lockstep_agrees name indexed reference =
     ~count:120 lockstep_trace_gen
     (fun (capacity, refs) ->
       let t = Array.of_list (List.map blk refs) in
-      Reference.lockstep indexed reference ~capacity t = None)
+      Reference.first_divergence indexed reference ~capacity t = None)
 
-let lru2_lockstep = lockstep_agrees "LRU-2" (module Policies.Lru_2) (module Reference.Lru_2)
+let lru2_lockstep = lockstep_agrees "LRU-2" (module Cores.Lru_2) (module Reference.Lru_2)
 
-let opt_lockstep = lockstep_agrees "OPT" (module Policies.Opt) (module Reference.Opt)
+let opt_lockstep = lockstep_agrees "OPT" (module Cores.Opt) (module Reference.Opt)
 
 let reference_results_match =
   (* Same hit/miss accounting end to end, not just the same victims. *)
@@ -212,9 +214,32 @@ let reference_results_match =
           (run_policy indexed ~capacity t).Policy_sim.misses
           = (run_policy reference ~capacity t).Policy_sim.misses)
         [
-          ((module Policies.Lru_2 : Policy_sim.POLICY), (module Reference.Lru_2 : Policy_sim.POLICY));
-          ((module Policies.Opt), (module Reference.Opt));
+          ((module Cores.Lru_2 : Policy_sim.POLICY), (module Reference.Lru_2 : Policy_sim.POLICY));
+          ((module Cores.Opt), (module Reference.Opt));
         ])
+
+(* The comparison itself must report a real divergence, at the exact
+   first position where the victims differ. *)
+let divergence_reported () =
+  let show = function
+    | None -> "none"
+    | Some (pos, va, vb) -> Fmt.str "%d: %a vs %a" pos Block.pp va Block.pp vb
+  in
+  let diverge a b ~capacity t = show (Reference.first_divergence a b ~capacity t) in
+  let cyclic = Trace.cyclic ~file:0 ~blocks:10 ~passes:3 in
+  (* The first eviction, at the first miss on a full cache: LRU gives up
+     the oldest block, MRU the newest. *)
+  check Alcotest.string "LRU vs MRU twin on a cycle"
+    (show (Some (4, blk 0, blk 3)))
+    (diverge (module Cores.Lru) (module Reference.Mru) ~capacity:4 cyclic);
+  check Alcotest.string "LRU vs its own twin" "none"
+    (diverge (module Cores.Lru) (module Reference.Lru) ~capacity:4 cyclic);
+  (* Past an agreed eviction: both give up 0 at position 2; the hit on 1
+     at position 3 rejuvenates it for LRU but not for FIFO. *)
+  check Alcotest.string "LRU vs FIFO twin after a hit"
+    (show (Some (4, blk 2, blk 1)))
+    (diverge (module Cores.Lru) (module Reference.Fifo) ~capacity:2
+       [| blk 0; blk 1; blk 2; blk 1; blk 3 |])
 
 let rand_uniform_and_resident =
   (* RAND's indexed array must only ever evict resident blocks (the
@@ -224,29 +249,33 @@ let rand_uniform_and_resident =
     QCheck2.Gen.(pair (int_range 1 8) (list_size (int_range 1 300) (int_range 0 15)))
     (fun (capacity, refs) ->
       let t = Array.of_list (List.map blk refs) in
-      let r = run_policy (module Policies.Rand) ~capacity t in
+      let r = run_policy (module Cores.Rand) ~capacity t in
       let ws = Trace.working_set_size t in
       r.Policy_sim.misses >= ws && r.Policy_sim.misses <= Array.length t)
 
 let framework_validation () =
   Alcotest.check_raises "bad capacity"
-    (Invalid_argument "Policy_sim.run: capacity must be positive") (fun () ->
-      ignore (run_policy (module Policies.Lru) ~capacity:0 [| blk 0 |]));
+    (Invalid_argument "Policy_core.replay: capacity must be positive") (fun () ->
+      ignore (run_policy (module Cores.Lru) ~capacity:0 [| blk 0 |]));
   (* A policy that evicts a non-resident block is caught. *)
   let module Bad = struct
     type t = unit
 
     let name = "BAD"
 
-    let init ~capacity:_ _ = ()
+    let summary = "names a block that is not resident"
 
-    let hit _ ~pos:_ _ = ()
+    let adaptive = false
 
-    let choose_victim _ ~pos:_ ~missing:_ = blk 999
+    let needs_future = false
 
-    let inserted _ ~pos:_ _ = ()
+    let create ~capacity:_ ~future:_ = ()
 
-    let evicted _ _ = ()
+    let on_event _ _ = ()
+
+    let victim _ ~pos:_ ~missing:_ = blk 999
+
+    let stats _ = []
   end in
   match run_policy (module Bad) ~capacity:1 [| blk 0; blk 1 |] with
   | _ -> Alcotest.fail "bad policy accepted"
@@ -255,16 +284,16 @@ let framework_validation () =
 let contains = contains_sub
 
 let by_name_lookup () =
-  chk_bool "finds OPT" true (Result.is_ok (Policies.by_name "opt"));
-  chk_bool "finds LRU" true (Result.is_ok (Policies.by_name "LRU"));
-  chk_bool "finds 2Q" true (Result.is_ok (Policies.by_name "2q"));
-  chk_bool "finds ARC" true (Result.is_ok (Policies.by_name "arc"));
-  (match Policies.by_name "nope" with
+  chk_bool "finds OPT" true (Result.is_ok (Policies.find "opt"));
+  chk_bool "finds LRU" true (Result.is_ok (Policies.find "LRU"));
+  chk_bool "finds 2Q" true (Result.is_ok (Policies.find "2q"));
+  chk_bool "finds ARC" true (Result.is_ok (Policies.find "arc"));
+  (match Policies.find "nope" with
   | Ok _ -> Alcotest.fail "unknown name accepted"
   | Error msg ->
     chk_bool "error lists names" true
       (contains ~sub:"LRU" msg && contains ~sub:"PERCEPTRON" msg));
-  (match Policies.by_name "lru3" with
+  (match Policies.find "lru3" with
   | Ok _ -> Alcotest.fail "near-miss accepted"
   | Error msg ->
     chk_bool "suggests near match" true (contains ~sub:"did you mean" msg));
@@ -272,7 +301,7 @@ let by_name_lookup () =
 
 let miss_ratio () =
   let t = Trace.cyclic ~file:0 ~blocks:4 ~passes:2 in
-  let r = run_policy (module Policies.Lru) ~capacity:8 t in
+  let r = run_policy (module Cores.Lru) ~capacity:8 t in
   chk_float "ratio" 0.5 (Policy_sim.miss_ratio r)
 
 let suites =
@@ -305,6 +334,7 @@ let suites =
         lru2_lockstep;
         opt_lockstep;
         reference_results_match;
+        case "twin comparison reports the first divergence" divergence_reported;
         rand_uniform_and_resident;
       ] );
   ]
