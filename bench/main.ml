@@ -690,6 +690,19 @@ let bench_wir_corpus () =
       incr pos;
       if !pos = n then pos := 0)
 
+(* Whole machine: one Figure 4 cell (cs1 alone, 6.4 MB, LRU-SP) run end
+   to end through the IR interpreter, Env, fs, cache, the disk and bus
+   models and the engine. One op = one block reference (cache hit or
+   miss), so the alloc gate covers every layer between the IR and the
+   cache, and the cache itself. *)
+let bench_machine () =
+  let scn =
+    Scenario.inline_workloads (Single.scenario ~mb:6.4 ~kernel:`Controlled ~seed:0 "cs1")
+  in
+  let r = Scenario.run scn in
+  measure_perf ~name:"machine/cs1" ~warmup:1 ~iters:20
+    ~batch:(r.cache_hits + r.cache_misses) (fun () -> ignore (Scenario.run scn))
+
 (* {2 Fleet perf family (fleet-events)}
 
    The whole domain-parallel fleet engine as one benchmark: N client
@@ -791,7 +804,12 @@ let run_perf () =
   let rows =
     (bench_engine_events () :: (bench_engine_steady () @ bench_engine_batch ()))
     @ bench_disk_queues () @ bench_policy_miss ()
-    @ [ bench_cache_churn (); bench_cache_churn_ref (); bench_wir_corpus () ]
+    @ [
+        bench_cache_churn ();
+        bench_cache_churn_ref ();
+        bench_wir_corpus ();
+        bench_machine ();
+      ]
     @ bench_fleet ()
   in
   List.iter

@@ -455,33 +455,44 @@ let get_policy t pid ~prio =
       | Some lvl -> Ok lvl.policy
       | None -> Ok Policy.default)
 
+(* Called once per block by applications that mark blocks done, so it
+   builds neither the trace detail (without a sink) nor a closure over
+   the manager. *)
 let set_temppri t pid ~file ~first ~last ~prio =
-  obs_call t pid "set_temppri" (fun () ->
-      Printf.sprintf "file=%d first=%d last=%d prio=%d" file first last prio);
-  with_manager t pid (fun mgr ->
-      if mgr.revoked then Error Error.Revoked
-      else if first < 0 || last < first then Error Error.Invalid_range
-      else
-        match ensure_level t mgr prio with
-        | Error _ as e -> e
-        | Ok lvl ->
-          let tab = t.tab in
-          let lt = long_term_prio mgr file in
-          for index = first to last do
-            match Hashtbl.find_opt mgr.blocks (Block.make ~file ~index) with
-            | None -> ()  (* only blocks presently in the cache are affected *)
-            | Some s ->
-              if tab.Ctab.level.(s) <> prio then begin
-                (match Hashtbl.find_opt mgr.levels tab.Ctab.level.(s) with
-                | Some l -> Ilist.remove tab.Ctab.lvl l.list s
-                | None -> assert false);
-                link_replaced_later t mgr lvl s
-              end;
-              if prio <> lt then
-                tab.Ctab.flags.(s) <- tab.Ctab.flags.(s) lor Ctab.temp_bit
-              else tab.Ctab.flags.(s) <- tab.Ctab.flags.(s) land lnot Ctab.temp_bit
-          done;
-          Ok ())
+  (match t.obs with
+  | None -> ()
+  | Some sink ->
+    Obs.Sink.emit sink
+      (Obs.Trace.Syscall
+         {
+           pid = Pid.to_int pid;
+           op = "set_temppri";
+           detail = Printf.sprintf "file=%d first=%d last=%d prio=%d" file first last prio;
+         }));
+  match find_manager t pid with
+  | None -> Error Error.Not_registered
+  | Some mgr ->
+    if mgr.revoked then Error Error.Revoked
+    else if first < 0 || last < first then Error Error.Invalid_range
+    else (
+      match ensure_level t mgr prio with
+      | Error _ as e -> e
+      | Ok lvl ->
+        let tab = t.tab in
+        let lt = long_term_prio mgr file in
+        for index = first to last do
+          match Hashtbl.find mgr.blocks (Block.make ~file ~index) with
+          | exception Not_found -> ()  (* only blocks presently in the cache are affected *)
+          | s ->
+            if tab.Ctab.level.(s) <> prio then begin
+              Ilist.remove tab.Ctab.lvl (Hashtbl.find mgr.levels tab.Ctab.level.(s)).list s;
+              link_replaced_later t mgr lvl s
+            end;
+            if prio <> lt then
+              tab.Ctab.flags.(s) <- tab.Ctab.flags.(s) lor Ctab.temp_bit
+            else tab.Ctab.flags.(s) <- tab.Ctab.flags.(s) land lnot Ctab.temp_bit
+        done;
+        Ok ())
 
 let set_chooser t pid chooser =
   obs_call t pid "set_chooser" (fun () ->

@@ -4,7 +4,7 @@ type t = Resource.t
 
 let create engine ?(name = "scsi-bus") () = Resource.create engine ~name ~servers:1 ()
 
-let transfer t ~duration = Resource.use t ~service:duration
+let[@inline] transfer t ~duration = Resource.use t ~service:duration
 
 let busy_time = Resource.busy_time
 

@@ -5,8 +5,6 @@ type kind = Read | Write
 
 type sched = Fcfs | Scan
 
-type waiter = { enqueued_at : float; resume : unit -> unit }
-
 type obs_state = {
   sink : Obs.Sink.t;
   h_service : Obs.Metrics.histogram;  (* seconds per request, in service *)
@@ -21,17 +19,29 @@ type t = {
   sched : sched;
   mutable obs : obs_state option;
   mutable busy : bool;
-  queue : waiter Sched_queue.t;  (* indexed by discipline; see Sched_queue *)
+  queue : (unit -> unit) Sched_queue.t;  (* resume thunks; see Sched_queue *)
+  pending_addr : int ref;  (* [enqueue]'s argument slot *)
+  enqueue : (unit -> unit) -> unit;  (* [suspend]'s register, built once *)
   mutable head : int;  (* block address after the last transfer *)
   mutable reads : int;
   mutable writes : int;
   mutable sequential_hits : int;
   mutable blocks_transferred : int;
-  mutable busy_time : float;
-  mutable total_wait : float;
+  (* [busy_time] and [total_wait], in a float array so an update stores
+     an unboxed float instead of boxing a mutable float field. *)
+  times : float array;
 }
 
+let busy_i = 0
+
+let wait_i = 1
+
 let create engine ?bus ?rng ?(sched = Fcfs) params =
+  let queue =
+    Sched_queue.create
+      (match sched with Fcfs -> Sched_queue.Fcfs | Scan -> Sched_queue.Scan)
+  in
+  let pending_addr = ref 0 in
   {
     engine;
     params;
@@ -40,16 +50,15 @@ let create engine ?bus ?rng ?(sched = Fcfs) params =
     sched;
     obs = None;
     busy = false;
-    queue =
-      Sched_queue.create
-        (match sched with Fcfs -> Sched_queue.Fcfs | Scan -> Sched_queue.Scan);
+    queue;
+    pending_addr;
+    enqueue = (fun resume -> Sched_queue.add queue ~addr:!pending_addr resume);
     head = 0;
     reads = 0;
     writes = 0;
     sequential_hits = 0;
     blocks_transferred = 0;
-    busy_time = 0.0;
-    total_wait = 0.0;
+    times = [| 0.0; 0.0 |];
   }
 
 let params t = t.params
@@ -70,8 +79,8 @@ let set_obs t obs =
     g "writes" (fun () -> float_of_int t.writes);
     g "sequential_hits" (fun () -> float_of_int t.sequential_hits);
     g "blocks_transferred" (fun () -> float_of_int t.blocks_transferred);
-    g "busy_s" (fun () -> t.busy_time);
-    g "wait_s" (fun () -> t.total_wait);
+    g "busy_s" (fun () -> t.times.(busy_i));
+    g "wait_s" (fun () -> t.times.(wait_i));
     g "queue_depth" (fun () -> float_of_int (queue_length t));
     t.obs <- Some { sink; h_service = h "service_s"; h_wait = h "wait_s_hist" }
 
@@ -126,7 +135,7 @@ let serve t kind ~addr ~blocks ~waited =
   | Read -> t.reads <- t.reads + 1
   | Write -> t.writes <- t.writes + 1);
   let service = Engine.now t.engine -. started in
-  t.busy_time <- t.busy_time +. service;
+  t.times.(busy_i) <- t.times.(busy_i) +. service;
   match t.obs with
   | None -> ()
   | Some { sink; h_service; h_wait } ->
@@ -145,6 +154,12 @@ let serve t kind ~addr ~blocks ~waited =
            wait = waited;
          })
 
+(* The freed drive goes straight to the next waiter, if any. *)
+let handoff t =
+  match pick_next t with
+  | Some resume -> Engine.schedule t.engine ~at:(Engine.now t.engine) resume
+  | None -> t.busy <- false
+
 let io ?(blocks = 1) t kind ~addr =
   check_addr t addr;
   if blocks < 1 || addr + blocks > t.params.Params.capacity_blocks then
@@ -152,11 +167,11 @@ let io ?(blocks = 1) t kind ~addr =
   let waited =
     if t.busy then begin
       let enqueued_at = Engine.now t.engine in
-      Engine.suspend t.engine (fun resume ->
-          Sched_queue.add t.queue ~addr { enqueued_at; resume });
+      t.pending_addr := addr;
+      Engine.suspend t.engine t.enqueue;
       (* Woken holding the drive: [busy] stayed true across the handoff. *)
       let waited = Engine.now t.engine -. enqueued_at in
-      t.total_wait <- t.total_wait +. waited;
+      t.times.(wait_i) <- t.times.(wait_i) +. waited;
       waited
     end
     else begin
@@ -164,16 +179,11 @@ let io ?(blocks = 1) t kind ~addr =
       0.0
     end
   in
-  let handoff () =
-    match pick_next t with
-    | Some w -> Engine.schedule t.engine ~at:(Engine.now t.engine) w.resume
-    | None -> t.busy <- false
-  in
   (try serve t kind ~addr ~blocks ~waited
    with e ->
-     handoff ();
+     handoff t;
      raise e);
-  handoff ()
+  handoff t
 
 let reads t = t.reads
 
@@ -183,14 +193,14 @@ let sequential_hits t = t.sequential_hits
 
 let blocks_transferred t = t.blocks_transferred
 
-let busy_time t = t.busy_time
+let busy_time t = t.times.(busy_i)
 
-let total_wait t = t.total_wait
+let total_wait t = t.times.(wait_i)
 
 let reset_stats t =
   t.reads <- 0;
   t.writes <- 0;
   t.sequential_hits <- 0;
   t.blocks_transferred <- 0;
-  t.busy_time <- 0.0;
-  t.total_wait <- 0.0
+  t.times.(busy_i) <- 0.0;
+  t.times.(wait_i) <- 0.0

@@ -43,7 +43,8 @@ let rz26 =
 let transfer_time_s p =
   float_of_int block_bytes /. (p.transfer_mb_per_s *. float_of_int mb)
 
-let seek_time_s p ~distance =
+(* Inlined, so the disk model gets its float result unboxed. *)
+let[@inline] seek_time_s p ~distance =
   if distance < 0 then invalid_arg "Params.seek_time_s: negative distance";
   if distance = 0 then 0.0
   else begin

@@ -45,13 +45,20 @@ type client = {
   mutable finished_at : float;
 }
 
+(* Indices into [server.s_times]. *)
+let s_free = 0
+
+let s_busy = 1
+
+let s_wait = 2
+
 type server = {
   s_cache : Cache.t;
   s_svc : float;
-  mutable s_free : float;
   mutable s_hits : int;
-  mutable s_busy : float;
-  mutable s_wait : float;
+  (* Disk-free instant, busy and wait seconds, in a float array so a
+     request's update stores unboxed floats. *)
+  s_times : float array;
   req_by_client : int array;
   hit_by_client : int array;
   (* Merge scratch: all outboxes gathered into columns, then an index
@@ -173,10 +180,8 @@ let make_server fleet nclients =
         (Config.make
            ~capacity_blocks:fleet.Scenario.server.Scenario.server_cache_blocks ());
     s_svc = disk_service_s fleet.Scenario.server.Scenario.server_drive;
-    s_free = 0.0;
     s_hits = 0;
-    s_busy = 0.0;
-    s_wait = 0.0;
+    s_times = [| 0.0; 0.0; 0.0 |];
     req_by_client = Array.make nclients 0;
     hit_by_client = Array.make nclients 0;
     m_ts = Array.make 256 0.0;
@@ -293,11 +298,13 @@ let serve s clients lat xfer =
         s.hit_by_client.(c) <- s.hit_by_client.(c) + 1;
         arrival
       | `Miss ->
-        let start = if s.s_free > arrival then s.s_free else arrival in
-        s.s_wait <- s.s_wait +. (start -. arrival);
-        s.s_busy <- s.s_busy +. s.s_svc;
+        let tm = s.s_times in
+        let free = tm.(s_free) in
+        let start = if free > arrival then free else arrival in
+        tm.(s_wait) <- tm.(s_wait) +. (start -. arrival);
+        tm.(s_busy) <- tm.(s_busy) +. s.s_svc;
         let fin = start +. s.s_svc in
-        s.s_free <- fin;
+        tm.(s_free) <- fin;
         fin
     in
     let back = done_at +. lat.(c) +. xfer.(c) in
@@ -425,8 +432,8 @@ let run ?jobs ?obs ?monitor scn =
     Metrics.gauge m "fleet.server.requests" (fun () ->
         float_of_int (Array.fold_left ( + ) 0 server.req_by_client));
     Metrics.gauge m "fleet.server.hits" (fun () -> float_of_int server.s_hits);
-    Metrics.gauge m "fleet.server.disk_busy_s" (fun () -> server.s_busy);
-    Metrics.gauge m "fleet.server.queue_wait_s" (fun () -> server.s_wait));
+    Metrics.gauge m "fleet.server.disk_busy_s" (fun () -> server.s_times.(s_busy));
+    Metrics.gauge m "fleet.server.queue_wait_s" (fun () -> server.s_times.(s_wait)));
   (* Monitor samples are taken at epoch barriers, after [serve]: the
      worker domains are parked inside [Team.run] between epochs, so the
      coordinator reads every cross-domain gauge race-free, and the
@@ -511,8 +518,8 @@ let run ?jobs ?obs ?monitor scn =
     makespan_s = makespan;
     server_requests = Array.fold_left ( + ) 0 server.req_by_client;
     server_hits = server.s_hits;
-    server_busy_s = server.s_busy;
-    server_wait_s = server.s_wait;
+    server_busy_s = server.s_times.(s_busy);
+    server_wait_s = server.s_times.(s_wait);
   }
 
 (* {2 Report rendering}
@@ -559,10 +566,8 @@ module For_tests = struct
       {
         s_cache = Cache.create (Config.make ~capacity_blocks:1 ());
         s_svc = 0.0;
-        s_free = 0.0;
         s_hits = 0;
-        s_busy = 0.0;
-        s_wait = 0.0;
+        s_times = [| 0.0; 0.0; 0.0 |];
         req_by_client = [||];
         hit_by_client = [||];
         m_ts = Array.make 1 0.0;

@@ -10,6 +10,16 @@ let block_bytes = Params.block_bytes
 
 type io_stats = { mutable disk_reads : int; mutable disk_writes : int }
 
+(* Blocks in flight, keyed by {!Block.pack}: an int key hashes and
+   compares without walking a boxed record. *)
+module Int_tbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+
+  let hash k = k land max_int
+end)
+
 type t = {
   engine : Engine.t;
   mutable cache : Cache.t;  (* set once during create *)
@@ -24,7 +34,7 @@ type t = {
   by_name : (string, File.id) Hashtbl.t;
   mutable next_id : int;
   mutable disk_cursors : (Disk.t * int ref) list;
-  in_flight : (Block.t, unit Ivar.t) Hashtbl.t;
+  in_flight : unit Ivar.t Int_tbl.t;
   frames : (Block.t, Bytes.t) Hashtbl.t;  (* resident data, when track_data *)
   images : (File.id, Bytes.t) Hashtbl.t;  (* on-disk data, when track_data *)
   pid_io : (Pid.t, io_stats) Hashtbl.t;
@@ -51,37 +61,45 @@ let set_obs t obs =
         float_of_int
           (Hashtbl.fold (fun _ s acc -> acc + s.disk_reads + s.disk_writes) t.pid_io 0))
 
-let obs_syscall t ~pid op detail =
-  match t.obs with
-  | None -> ()
-  | Some sink -> Obs.Sink.emit sink (Obs.Trace.Syscall { pid; op; detail = detail () })
+(* Call sites match on [t.obs] themselves, so without a sink no detail
+   string (nor a closure to build one) is made. *)
+let emit_syscall sink ~pid op detail =
+  Obs.Sink.emit sink (Obs.Trace.Syscall { pid; op; detail })
 
 let io_stats t pid =
-  match Hashtbl.find_opt t.pid_io pid with
-  | Some s -> s
-  | None ->
+  match Hashtbl.find t.pid_io pid with
+  | s -> s
+  | exception Not_found ->
     let s = { disk_reads = 0; disk_writes = 0 } in
     Hashtbl.replace t.pid_io pid s;
     s
 
 let file_of_block t key =
-  match Hashtbl.find_opt t.files (Block.file key) with
-  | Some f -> f
-  | None -> invalid_arg "Fs: block of unknown file"
+  match Hashtbl.find t.files (Block.file key) with
+  | f -> f
+  | exception Not_found -> invalid_arg "Fs: block of unknown file"
 
 (* The backend: what BUF calls when it needs the device. *)
+
+(* The read is over (or failed): wake whoever waits on the block. *)
+let landed t packed iv =
+  Int_tbl.remove t.in_flight packed;
+  Ivar.fill iv ()
 
 let backend_read t key =
   let file = file_of_block t key in
   let iv = Ivar.create t.engine in
-  Hashtbl.replace t.in_flight key iv;
-  (io_stats t t.current_pid).disk_reads <- (io_stats t t.current_pid).disk_reads + 1;
-  Fun.protect
-    ~finally:(fun () ->
-      Hashtbl.remove t.in_flight key;
-      Ivar.fill iv ())
-    (fun () ->
-      Disk.io file.File.disk Disk.Read ~addr:(File.disk_addr file ~index:(Block.index key)));
+  let packed = Block.pack key in
+  Int_tbl.replace t.in_flight packed iv;
+  let s = io_stats t t.current_pid in
+  s.disk_reads <- s.disk_reads + 1;
+  (match
+     Disk.io file.File.disk Disk.Read ~addr:(File.disk_addr file ~index:(Block.index key))
+   with
+  | () -> landed t packed iv
+  | exception e ->
+    landed t packed iv;
+    raise e);
   if t.track_data then begin
     let image = Hashtbl.find t.images (File.id file) in
     let frame = Bytes.make block_bytes '\000' in
@@ -105,8 +123,8 @@ let backend_write t key =
   in
   let cluster = key :: followers in
   let payer = Option.value file.File.owner ~default:t.current_pid in
-  (io_stats t payer).disk_writes <-
-    (io_stats t payer).disk_writes + List.length cluster;
+  let s = io_stats t payer in
+  s.disk_writes <- s.disk_writes + List.length cluster;
   if t.track_data then
     List.iter
       (fun k ->
@@ -122,7 +140,7 @@ let backend_write t key =
   Engine.spawn t.engine ~name:"writeback" (fun () ->
       Disk.io ~blocks disk Disk.Write ~addr)
 
-let backend_evicted t key = Hashtbl.remove t.frames key
+let backend_evicted t key = if t.track_data then Hashtbl.remove t.frames key
 
 let create engine ~config ?cpu ?(hit_cost = 0.0006) ?(io_cpu_cost = 0.002)
     ?(write_cluster = 1) ?(readahead = true) ?(layout = `Packed)
@@ -145,7 +163,7 @@ let create engine ~config ?cpu ?(hit_cost = 0.0006) ?(io_cpu_cost = 0.002)
       by_name = Hashtbl.create 32;
       next_id = 0;
       disk_cursors = [];
-      in_flight = Hashtbl.create 8;
+      in_flight = Int_tbl.create 8;
       frames = Hashtbl.create 1024;
       images = Hashtbl.create 8;
       pid_io = Hashtbl.create 8;
@@ -207,9 +225,13 @@ let create_file t ?owner ?reserve_bytes ~name ~disk ~size_bytes () =
   t.next_id <- t.next_id + 1;
   Hashtbl.replace t.files file.File.id file;
   Hashtbl.replace t.by_name name file.File.id;
-  obs_syscall t ~pid:(match owner with Some p -> Pid.to_int p | None -> kernel_pid)
-    "creat" (fun () ->
-      Printf.sprintf "file=%d name=%s size=%d" file.File.id name size_bytes);
+  (match t.obs with
+  | None -> ()
+  | Some sink ->
+    emit_syscall sink
+      ~pid:(match owner with Some p -> Pid.to_int p | None -> kernel_pid)
+      "creat"
+      (Printf.sprintf "file=%d name=%s size=%d" file.File.id name size_bytes));
   if t.track_data then
     Hashtbl.replace t.images file.File.id (Bytes.make (reserve_blocks * block_bytes) '\000');
   file
@@ -221,8 +243,11 @@ let file_of_id t id = Hashtbl.find_opt t.files id
 
 let unlink t (file : File.t) =
   if not file.File.unlinked then begin
-    obs_syscall t ~pid:kernel_pid "unlink" (fun () ->
-        Printf.sprintf "file=%d name=%s" (File.id file) file.File.name);
+    (match t.obs with
+    | None -> ()
+    | Some sink ->
+      emit_syscall sink ~pid:kernel_pid "unlink"
+        (Printf.sprintf "file=%d name=%s" (File.id file) file.File.name));
     file.File.unlinked <- true;
     ignore (Cache.invalidate_file t.cache ~file:(File.id file));
     Hashtbl.remove t.by_name file.File.name;
@@ -239,12 +264,16 @@ let cpu_charge t cost =
     | None -> Engine.delay t.engine cost
 
 let wait_ready t key =
-  match Hashtbl.find_opt t.in_flight key with
+  match Int_tbl.find_opt t.in_flight (Block.pack key) with
   | Some iv -> Ivar.read iv
   | None -> ()
 
 let check_range ~what ~off ~len =
   if off < 0 || len < 0 then invalid_arg (what ^ ": negative offset or length")
+
+(* Neither resident nor on its way. *)
+let absent t key =
+  (not (Cache.contains t.cache key)) && not (Int_tbl.mem t.in_flight (Block.pack key))
 
 (* One-block read-ahead, as Ultrix does for sequentially-read files:
    when the access pattern is sequential, fetch the next block
@@ -256,24 +285,43 @@ let maybe_readahead t ~pid (file : File.t) ~index ~sequential =
   if
     t.readahead && file.File.readahead_enabled && sequential
     && next < File.size_blocks file
-    &&
+  then begin
     let key = File.block_key file ~index:next in
-    (not (Cache.contains t.cache key)) && not (Hashtbl.mem t.in_flight key)
-  then
-    Engine.spawn t.engine ~name:"readahead" (fun () ->
-        let key = File.block_key file ~index:next in
-        (* Re-check: the block may have arrived while the fiber was
-           waiting to start. *)
-        if (not (Cache.contains t.cache key)) && not (Hashtbl.mem t.in_flight key)
-        then begin
-          t.current_pid <- pid;
-          (* Read-ahead is best-effort: with every frame pinned by
-             in-flight I/O there is nothing to evict, so just skip. *)
-          match Cache.read ~prefetch:true t.cache ~pid key with
-          | `Miss -> cpu_charge t t.io_cpu_cost
-          | `Hit -> ()
-          | exception Cache.Cache_busy -> ()
-        end)
+    if absent t key then
+      Engine.spawn t.engine ~name:"readahead" (fun () ->
+          (* Re-check: the block may have arrived while the fiber was
+             waiting to start. *)
+          if absent t key then begin
+            t.current_pid <- pid;
+            (* Read-ahead is best-effort: with every frame pinned by
+               in-flight I/O there is nothing to evict, so just skip. *)
+            match Cache.read ~prefetch:true t.cache ~pid key with
+            | `Miss -> cpu_charge t t.io_cpu_cost
+            | `Hit -> ()
+            | exception Cache.Cache_busy -> ()
+          end)
+  end
+
+(* One block's cache reference, retried while every frame is pinned by
+   in-flight I/O (waiting a millisecond for one to land). Top level, so
+   the per-block loop builds no closure. *)
+let rec read_block t ~pid key =
+  t.current_pid <- pid;
+  match Cache.read t.cache ~pid key with
+  | `Hit -> wait_ready t key
+  | `Miss -> cpu_charge t t.io_cpu_cost
+  | exception Cache.Cache_busy ->
+    Engine.delay t.engine 0.001;
+    read_block t ~pid key
+
+let rec write_block t ~pid key ~fetch =
+  t.current_pid <- pid;
+  match Cache.write t.cache ~pid key ~fetch with
+  | `Hit -> wait_ready t key
+  | `Miss -> ()
+  | exception Cache.Cache_busy ->
+    Engine.delay t.engine 0.001;
+    write_block t ~pid key ~fetch
 
 (* [out], when given, receives the bytes of [\[off, off+len)]; each
    block's frame is copied as soon as the block is resident — before any
@@ -286,18 +334,7 @@ let read_internal t ~pid (file : File.t) ~off ~len ~out =
     let first = off / block_bytes and last = (off + len - 1) / block_bytes in
     for index = first to last do
       let key = File.block_key file ~index in
-      let rec access () =
-        t.current_pid <- pid;
-        match Cache.read t.cache ~pid key with
-        | `Hit -> wait_ready t key
-        | `Miss -> cpu_charge t t.io_cpu_cost
-        | exception Cache.Cache_busy ->
-          (* Every frame is pinned by in-flight I/O: wait for one to
-             land and retry the reference. *)
-          Engine.delay t.engine 0.001;
-          access ()
-      in
-      access ();
+      read_block t ~pid key;
       (match out with
       | Some buffer ->
         let frame = Hashtbl.find t.frames key in
@@ -316,8 +353,11 @@ let read_internal t ~pid (file : File.t) ~off ~len ~out =
   end
 
 let read t ~pid file ~off ~len =
-  obs_syscall t ~pid:(Pid.to_int pid) "read" (fun () ->
-      Printf.sprintf "file=%d off=%d len=%d" (File.id file) off len);
+  (match t.obs with
+  | None -> ()
+  | Some sink ->
+    emit_syscall sink ~pid:(Pid.to_int pid) "read"
+      (Printf.sprintf "file=%d off=%d len=%d" (File.id file) off len));
   read_internal t ~pid file ~off ~len ~out:None
 
 (* [data], when given, holds the payload for [\[off, off+len)]; it is
@@ -339,16 +379,7 @@ let write_internal t ~pid (file : File.t) ~off ~len ~data =
       let covers_whole = off <= block_start && off + len >= block_stop in
       (* Read-modify-write only if the block holds data we must keep. *)
       let fetch = (not covers_whole) && block_start < old_size in
-      let rec access () =
-        t.current_pid <- pid;
-        match Cache.write t.cache ~pid key ~fetch with
-        | `Hit -> wait_ready t key
-        | `Miss -> ()
-        | exception Cache.Cache_busy ->
-          Engine.delay t.engine 0.001;
-          access ()
-      in
-      access ();
+      write_block t ~pid key ~fetch;
       if t.track_data then begin
         let frame =
           match Hashtbl.find_opt t.frames key with
@@ -371,8 +402,11 @@ let write_internal t ~pid (file : File.t) ~off ~len ~data =
   end
 
 let write t ~pid file ~off ~len =
-  obs_syscall t ~pid:(Pid.to_int pid) "write" (fun () ->
-      Printf.sprintf "file=%d off=%d len=%d" (File.id file) off len);
+  (match t.obs with
+  | None -> ()
+  | Some sink ->
+    emit_syscall sink ~pid:(Pid.to_int pid) "write"
+      (Printf.sprintf "file=%d off=%d len=%d" (File.id file) off len));
   write_internal t ~pid file ~off ~len ~data:None
 
 let pread t ~pid file ~off ~len =
@@ -386,12 +420,16 @@ let pwrite t ~pid file ~off data =
   write_internal t ~pid file ~off ~len:(Bytes.length data) ~data:(Some data)
 
 let sync t =
-  obs_syscall t ~pid:kernel_pid "sync" (fun () -> "");
+  (match t.obs with
+  | None -> ()
+  | Some sink -> emit_syscall sink ~pid:kernel_pid "sync" "");
   Cache.sync t.cache ()
 
 let fsync t file =
-  obs_syscall t ~pid:kernel_pid "fsync" (fun () ->
-      Printf.sprintf "file=%d" (File.id file));
+  (match t.obs with
+  | None -> ()
+  | Some sink ->
+    emit_syscall sink ~pid:kernel_pid "fsync" (Printf.sprintf "file=%d" (File.id file)));
   Cache.sync t.cache ~file:(File.id file) ()
 
 let spawn_update_daemon t ?(interval = 30.0) () =

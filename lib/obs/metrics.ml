@@ -6,10 +6,18 @@ let bucket_lo = 1e-6
 type histogram = {
   buckets : int array;  (* last bucket = overflow *)
   mutable h_count : int;
-  mutable h_sum : float;
-  mutable h_min : float;
-  mutable h_max : float;
+  (* Sum, min and max in a float array, so [observe] stores unboxed
+     floats instead of boxing mutable float fields. *)
+  h_stats : float array;
 }
+
+let sum_i = 0
+
+let min_i = 1
+
+let max_i = 2
+
+let fresh_stats () = [| 0.0; Float.infinity; Float.neg_infinity |]
 
 type t = {
   counters : (string, counter) Hashtbl.t;
@@ -84,9 +92,7 @@ let histogram t name =
       {
         buckets = Array.make n_buckets 0;
         h_count = 0;
-        h_sum = 0.0;
-        h_min = Float.infinity;
-        h_max = Float.neg_infinity;
+        h_stats = fresh_stats ();
       }
     in
     Hashtbl.replace t.histograms name h;
@@ -99,11 +105,13 @@ let bucket_index v =
     if i >= n_buckets then n_buckets - 1 else i
 
 let observe h v =
-  h.buckets.(bucket_index v) <- h.buckets.(bucket_index v) + 1;
+  let i = bucket_index v in
+  h.buckets.(i) <- h.buckets.(i) + 1;
   h.h_count <- h.h_count + 1;
-  h.h_sum <- h.h_sum +. v;
-  if v < h.h_min then h.h_min <- v;
-  if v > h.h_max then h.h_max <- v
+  let st = h.h_stats in
+  st.(sum_i) <- st.(sum_i) +. v;
+  if v < st.(min_i) then st.(min_i) <- v;
+  if v > st.(max_i) then st.(max_i) <- v
 
 let histogram_count t name =
   match Hashtbl.find_opt t.histograms name with Some h -> h.h_count | None -> 0
@@ -128,10 +136,12 @@ let histogram_json h =
   Json.Obj
     [
       ("count", Json.Num (float_of_int h.h_count));
-      ("sum", Json.Num h.h_sum);
-      ("min", Json.Num (if h.h_count = 0 then 0.0 else h.h_min));
-      ("max", Json.Num (if h.h_count = 0 then 0.0 else h.h_max));
-      ("mean", Json.Num (if h.h_count = 0 then 0.0 else h.h_sum /. float_of_int h.h_count));
+      ("sum", Json.Num h.h_stats.(sum_i));
+      ("min", Json.Num (if h.h_count = 0 then 0.0 else h.h_stats.(min_i)));
+      ("max", Json.Num (if h.h_count = 0 then 0.0 else h.h_stats.(max_i)));
+      ( "mean",
+        Json.Num
+          (if h.h_count = 0 then 0.0 else h.h_stats.(sum_i) /. float_of_int h.h_count) );
       ("buckets", Json.List buckets);
     ]
 
@@ -166,7 +176,5 @@ let reset t =
     (fun _ h ->
       Array.fill h.buckets 0 n_buckets 0;
       h.h_count <- 0;
-      h.h_sum <- 0.0;
-      h.h_min <- Float.infinity;
-      h.h_max <- Float.neg_infinity)
+      Array.blit (fresh_stats ()) 0 h.h_stats 0 3)
     t.histograms

@@ -1,9 +1,48 @@
 module Obs = Acfc_obs
 
+(* A simulated process. A record and its event are all a fiber costs
+   the engine: the effect handler is shared by every fiber of an engine
+   and learns which fiber performed from [current], and the fiber's
+   computation returns its own record, so the shared [retc] knows who
+   finished. Live fibers form a circular list through [prev]/[next], walked only
+   to name the stuck fibers of a {!Deadlock}. *)
+type fiber = {
+  name : string;
+  body : unit -> unit;
+  (* Suspensions so far, plus one per resume: odd while blocked in
+     [suspend]. A resume thunk captures the odd value it must find, so
+     a second call, or a call after a later suspension, is caught. *)
+  mutable susp : int;
+  mutable prev : fiber;
+  mutable next : fiber;
+  (* The continuation of the fiber's latest sleep; [unstarted] until
+     its first. *)
+  mutable parked : (unit, unit) Effect.Deep.continuation;
+  run : job; (* the fiber's own event: its start, then every wake-up *)
+}
+
+and job = Nop | Thunk of (unit -> unit) | Run of fiber
+
+type _ Effect.t += Park : unit Effect.t
+
+(* A genuine continuation that is never resumed, so [parked] needs no
+   option box: the stand-in for "not started yet". *)
+let unstarted : (unit, unit) Effect.Deep.continuation =
+  let k : (unit, unit) Effect.Deep.continuation option ref = ref None in
+  Effect.Deep.try_with Effect.perform Park
+    {
+      effc =
+        (fun (type a) (eff : a Effect.t) ->
+          match eff with
+          | Park -> Some (fun (c : (a, unit) Effect.Deep.continuation) -> k := Some c)
+          | _ -> None);
+    };
+  Option.get !k
+
 (* Specialised event queue: a binary min-heap on (time, seq) laid out as
    parallel scalar columns — unboxed float times, int seqs, and int pool
    slots — so a push/pop allocates nothing and sifting moves only
-   scalars. Job payloads (closures, continuations) sit still in a
+   scalars. Job payloads (closures, fiber records) sit still in a
    free-listed pool: a heap entry points at its pool slot, so no pointer
    ever moves through the sift loop's write barrier. [seq] breaks time
    ties in schedule order, which keeps same-instant events FIFO and runs
@@ -12,10 +51,7 @@ module Obs = Acfc_obs
    Exposed in the interface for the property tests, which replay random
    (time, seq) sequences against the generic closure-based {!Heap}. *)
 module Equeue = struct
-  type job =
-    | Nop
-    | Thunk of (unit -> unit)
-    | Cont of (unit, unit) Effect.Deep.continuation
+  type nonrec job = job = Nop | Thunk of (unit -> unit) | Run of fiber
 
   type t = {
     mutable ts : float array;
@@ -164,23 +200,31 @@ type t = {
   mutable rtail : int; (* rtail - rhead = occupancy; indices mod capacity *)
   mutable live : int; (* fibers spawned and not finished *)
   mutable waiting : int; (* fibers currently suspended (sleepers included) *)
-  blocked : (int, string) Hashtbl.t; (* fiber id -> name, while suspended *)
-  mutable next_fiber_id : int;
+  fibers : fiber; (* sentinel of the circular list of live fibers *)
+  (* The running fiber. Only read while a fiber runs, so it is left
+     stale between events rather than reset. *)
+  mutable current : fiber;
+  (* The running fiber was entered by the scheduler itself, as a whole
+     event, and has not entered another fiber: when it sleeps, nothing
+     else runs before control is back in the event loop. Set at every
+     fiber entry, so like [current] it is stale between events. *)
+  mutable direct : bool;
+  (* The thunk of the event being run, so a resume thunk can tell
+     whether it is that whole event or is called from inside one. *)
+  mutable entry : unit -> unit;
+  horizon : float array; (* the running [run]/[run_until] limit *)
   mutable processed : int;
   mutable obs : Obs.Sink.t option;
-  sleep_dt : float array; (* argument slot for the Sleep effect *)
-  mutable sleep_some : ((unit, unit) Effect.Deep.continuation -> unit) option;
+  (* Argument slots for the argument-less effects: [delay] and
+     [suspend] store into them, and the shared handler reads them. *)
+  sleep_dt : float array;
+  mutable register : (unit -> unit) -> unit;
+  mutable handler : (fiber, unit) Effect.Deep.handler;
 }
 
 exception Deadlock of string
 
-type _ Effect.t += Suspend : ((unit -> unit) -> unit) -> unit Effect.t
-
-(* Fast-path sleep: [delay] passes its duration through [sleep_dt]
-   (an unboxed float slot) and performs the argument-less [Sleep], so
-   suspending for a duration allocates no effect payload, no resume
-   closure and no heap record — just the captured continuation. *)
-type _ Effect.t += Sleep : unit Effect.t
+type _ Effect.t += Suspend : unit Effect.t | Sleep : unit Effect.t
 
 let ring_length t = t.rtail - t.rhead
 
@@ -205,50 +249,27 @@ let ring_pop t =
   t.rhead <- t.rhead + 1;
   job
 
-(* Queue a sleeping fiber's continuation at its wake time, with the
-   same ring-vs-heap routing as [schedule_job] below. [dt > 0] implies
-   the wake time is never in the past, so no check is needed. *)
-let sleep_push t k =
-  let at = t.clock.(0) +. t.sleep_dt.(0) in
-  (* [Equeue] fields are read directly here and below: [top_time] is an
-     arm's-length call whose float return would box on the hot path. *)
+(* An event due exactly now, with nothing in the heap able to run
+   before it, goes to the ready ring: same firing order as a heap push
+   (any same-time heap event already present would have top_time = at
+   and forces the heap path; later pushes get larger seqs and fire
+   after). [Equeue] fields are read directly: [top_time] is an
+   arm's-length call whose float return would box on the hot path. *)
+let[@inline] push_job t at job =
   if at = t.clock.(0) && (Equeue.is_empty t.events || t.events.Equeue.ts.(0) > at)
-  then ring_push t (Equeue.Cont k)
+  then ring_push t job
   else begin
     t.seq <- t.seq + 1;
     Equeue.stage t.events at;
-    Equeue.push_staged t.events ~seq:t.seq (Equeue.Cont k)
+    Equeue.push_staged t.events ~seq:t.seq job
   end
 
-let create () =
-  let t =
-    {
-      clock = Array.make 1 0.0;
-      seq = 0;
-      events = Equeue.create ();
-      rbuf = Array.make 64 Equeue.Nop;
-      rhead = 0;
-      rtail = 0;
-      live = 0;
-      waiting = 0;
-      blocked = Hashtbl.create 16;
-      next_fiber_id = 0;
-      processed = 0;
-      obs = None;
-      sleep_dt = Array.make 1 0.0;
-      sleep_some = None;
-    }
-  in
-  (* One handler closure per engine, shared by every fiber: performing
-     Sleep finds it pre-allocated. A sleeping fiber counts as waiting
-     but is never registered in [blocked] — its wake event is in the
-     queue, so it cannot deadlock. *)
-  t.sleep_some <-
-    Some
-      (fun (k : (unit, unit) Effect.Deep.continuation) ->
-        t.waiting <- t.waiting + 1;
-        sleep_push t k);
-  t
+let no_register (_ : unit -> unit) = ()
+
+let no_entry () = ()
+
+let no_handler : (fiber, unit) Effect.Deep.handler =
+  { retc = ignore; exnc = raise; effc = (fun _ -> None) }
 
 let now t = t.clock.(0)
 
@@ -267,90 +288,183 @@ let set_obs t obs =
     Obs.Metrics.gauge m "sim.pending_events" (fun () ->
         float_of_int (Equeue.length t.events + ring_length t))
 
-(* An event due exactly now, with nothing in the heap able to run
-   before it, goes to the ready ring: same firing order as a heap push
-   (any same-time heap event already present would have top_time = at
-   and forces the heap path; later pushes get larger seqs and fire
-   after). *)
-let schedule_job t ~at job =
+let[@inline] schedule_job t ~at job =
   if at < t.clock.(0) then
     invalid_arg
       (Printf.sprintf "Engine.schedule: time %g is in the past (now %g)" at
          t.clock.(0));
-  if
-    at = t.clock.(0)
-    && (Equeue.is_empty t.events || t.events.Equeue.ts.(0) > at)
-  then ring_push t job
-  else begin
-    t.seq <- t.seq + 1;
-    Equeue.stage t.events at;
-    Equeue.push_staged t.events ~seq:t.seq job
-  end
+  push_job t at job
 
-let schedule t ~at thunk = schedule_job t ~at (Equeue.Thunk thunk)
+let[@inline] schedule t ~at thunk = schedule_job t ~at (Equeue.Thunk thunk)
 
-(* Fiber-local knowledge of "who am I" is threaded through the effect
-   handler: each fiber runs under its own handler closure that knows its
-   id and name, so suspend bookkeeping can name the stuck fiber. *)
-let start_fiber t ~name f =
-  let id = t.next_fiber_id in
-  t.next_fiber_id <- id + 1;
-  t.live <- t.live + 1;
-  (match t.obs with
-  | None -> ()
-  | Some sink -> Obs.Sink.emit sink (Obs.Trace.Fiber { name; op = "spawn" }));
-  let open Effect.Deep in
-  let handler =
+(* Continue [fb] inside the running event; when [fb] next blocks or
+   finishes, the event gets its own fiber back. *)
+let enter t fb k ~direct =
+  let cur = t.current and dir = t.direct in
+  t.current <- fb;
+  t.direct <- direct;
+  Effect.Deep.continue k ();
+  t.current <- cur;
+  t.direct <- dir
+
+(* The handler's side of [suspend]: hand the staged [register] a
+   one-shot resume thunk, the only allocation of a suspension besides
+   the continuation itself. A resume thunk that is the whole of its
+   event (what [Ivar], [Resource] and [Disk] schedule) keeps the fiber
+   [direct]; one called from inside other code does not. *)
+let suspended t k =
+  let fb = t.current in
+  let gen = fb.susp + 1 in
+  fb.susp <- gen;
+  t.waiting <- t.waiting + 1;
+  let rec resume () =
+    if fb.susp <> gen then invalid_arg "Engine: fiber resumed twice";
+    fb.susp <- gen + 1;
+    t.waiting <- t.waiting - 1;
+    enter t fb k ~direct:(t.entry == resume)
+  in
+  t.register resume
+
+(* The handler's side of a [delay] that could not be fast-forwarded:
+   queue the fiber at its wake time. [dt > 0] implies the wake time is
+   never in the past, so no check is needed. *)
+let slept t k =
+  let fb = t.current in
+  t.waiting <- t.waiting + 1;
+  fb.parked <- k;
+  push_job t (t.clock.(0) +. t.sleep_dt.(0)) fb.run
+
+(* Allocated once per engine and shared by every fiber: performing an
+   effect finds its handler closure already built. *)
+let make_handler t : (fiber, unit) Effect.Deep.handler =
+  let sleep_some = Some (fun k -> slept t k) in
+  let suspend_some = Some (fun k -> suspended t k) in
+  {
+    retc =
+      (fun fb ->
+        t.live <- t.live - 1;
+        fb.prev.next <- fb.next;
+        fb.next.prev <- fb.prev;
+        match t.obs with
+        | None -> ()
+        | Some sink ->
+          Obs.Sink.emit sink (Obs.Trace.Fiber { name = fb.name; op = "finish" }));
+    exnc = raise;
+    effc =
+      (fun (type a) (eff : a Effect.t) ->
+        match eff with
+        | Sleep -> (sleep_some : ((a, unit) Effect.Deep.continuation -> unit) option)
+        | Suspend -> suspend_some
+        | _ -> None);
+  }
+
+let create () =
+  let rec head =
     {
-      retc =
-        (fun () ->
-          t.live <- t.live - 1;
-          match t.obs with
-          | None -> ()
-          | Some sink -> Obs.Sink.emit sink (Obs.Trace.Fiber { name; op = "finish" }));
-      exnc = (fun e -> raise e);
-      effc =
-        (fun (type a) (eff : a Effect.t) ->
-          match eff with
-          | Sleep -> (t.sleep_some : ((a, unit) continuation -> unit) option)
-          | Suspend register ->
-            Some
-              (fun (k : (a, unit) continuation) ->
-                t.waiting <- t.waiting + 1;
-                Hashtbl.replace t.blocked id name;
-                let resumed = ref false in
-                let resume () =
-                  if !resumed then invalid_arg "Engine: fiber resumed twice";
-                  resumed := true;
-                  t.waiting <- t.waiting - 1;
-                  Hashtbl.remove t.blocked id;
-                  continue k ()
-                in
-                register resume)
-          | _ -> None);
+      name = "";
+      body = no_entry;
+      susp = 0;
+      prev = head;
+      next = head;
+      parked = unstarted;
+      run = Run head;
     }
   in
-  match_with f () handler
+  let t =
+    {
+      clock = Array.make 1 0.0;
+      seq = 0;
+      events = Equeue.create ();
+      rbuf = Array.make 64 Equeue.Nop;
+      rhead = 0;
+      rtail = 0;
+      live = 0;
+      waiting = 0;
+      fibers = head;
+      current = head;
+      direct = false;
+      entry = no_entry;
+      horizon = Array.make 1 Float.neg_infinity;
+      processed = 0;
+      obs = None;
+      sleep_dt = Array.make 1 0.0;
+      register = no_register;
+      handler = no_handler;
+    }
+  in
+  t.handler <- make_handler t;
+  t
+
+let run_body fb =
+  fb.body ();
+  fb
+
+let start t fb =
+  t.live <- t.live + 1;
+  let head = t.fibers in
+  fb.next <- head.next;
+  fb.prev <- head;
+  head.next.prev <- fb;
+  head.next <- fb;
+  (match t.obs with
+  | None -> ()
+  | Some sink -> Obs.Sink.emit sink (Obs.Trace.Fiber { name = fb.name; op = "spawn" }));
+  t.current <- fb;
+  t.direct <- true;
+  Effect.Deep.match_with run_body fb t.handler
 
 let spawn t ?(name = "fiber") f =
-  schedule t ~at:t.clock.(0) (fun () -> start_fiber t ~name f)
+  let head = t.fibers in
+  let rec fb =
+    { name; body = f; susp = 0; prev = head; next = head; parked = unstarted; run = Run fb }
+  in
+  push_job t t.clock.(0) fb.run
 
-let suspend _t register = Effect.perform (Suspend register)
+let suspend t register =
+  t.register <- register;
+  Effect.perform Suspend
 
-let delay t dt =
+(* Fast-forward: a sleep whose wake time is strictly before every queued
+   event, with the ready ring empty and the wake within the running
+   horizon, is exactly the next event the loop would pop — nothing can
+   be scheduled in between, because the sleeper is the only code
+   running ([direct]: it was entered by the loop itself, not from
+   inside other code that would resume after it). So advance the clock
+   in place and keep running, taking the seq and the event count the
+   queued wake would have taken. *)
+let sleep t =
+  let at = t.clock.(0) +. t.sleep_dt.(0) in
+  if
+    t.direct && t.rtail = t.rhead
+    && at <= t.horizon.(0)
+    && (Equeue.is_empty t.events || at < t.events.Equeue.ts.(0))
+  then begin
+    t.seq <- t.seq + 1;
+    t.processed <- t.processed + 1;
+    t.clock.(0) <- at
+  end
+  else Effect.perform Sleep
+
+(* Inlined, so [dt] reaches the unboxed slot without being boxed at a
+   call. *)
+let[@inline] delay t dt =
   if dt < 0.0 then invalid_arg "Engine.delay: negative delay";
-  if dt = 0.0 then ()
-  else begin
+  if dt <> 0.0 then begin
     t.sleep_dt.(0) <- dt;
-    Effect.perform Sleep
+    sleep t
   end
 
 let run_job t job =
   match job with
-  | Equeue.Thunk f -> f ()
-  | Equeue.Cont k ->
+  | Equeue.Thunk f ->
+    t.entry <- f;
+    f ()
+  | Run fb when fb.parked == unstarted -> start t fb
+  | Run fb ->
     t.waiting <- t.waiting - 1;
-    Effect.Deep.continue k ()
+    t.current <- fb;
+    t.direct <- true;
+    Effect.Deep.continue fb.parked ()
   | Equeue.Nop -> ()
 
 let step t =
@@ -368,26 +482,45 @@ let step t =
     true
   end
 
-let run t =
-  while step t do
-    ()
-  done;
-  if t.waiting > 0 then begin
-    let names = Hashtbl.fold (fun _ name acc -> name :: acc) t.blocked [] in
-    raise (Deadlock (String.concat ", " (List.sort compare names)))
+(* Outside a run no sleep may be fast-forwarded (a [delay] there is
+   not in a fiber), also after a fiber's exception escapes the run. *)
+let settle t = t.horizon.(0) <- Float.neg_infinity
+
+let rec drain t = if step t then drain t
+
+let rec drain_until t horizon =
+  if
+    if t.rtail <> t.rhead then t.clock.(0) <= horizon (* ring entries are due now *)
+    else (not (Equeue.is_empty t.events)) && t.events.Equeue.ts.(0) <= horizon
+  then begin
+    ignore (step t);
+    drain_until t horizon
   end
 
+let blocked_names t =
+  let rec walk fb acc =
+    if fb == t.fibers then acc
+    else walk fb.next (if fb.susp land 1 = 1 then fb.name :: acc else acc)
+  in
+  walk t.fibers.next []
+
+let run t =
+  t.horizon.(0) <- Float.infinity;
+  (try drain t
+   with e ->
+     settle t;
+     raise e);
+  settle t;
+  if t.waiting > 0 then
+    raise (Deadlock (String.concat ", " (List.sort compare (blocked_names t))))
+
 let run_until t horizon =
-  let continue_ = ref true in
-  while !continue_ do
-    if t.rtail <> t.rhead then
-      (* Ring entries are due exactly now. *)
-      if t.clock.(0) <= horizon then ignore (step t) else continue_ := false
-    else if
-      (not (Equeue.is_empty t.events)) && t.events.Equeue.ts.(0) <= horizon
-    then ignore (step t)
-    else continue_ := false
-  done;
+  t.horizon.(0) <- horizon;
+  (try drain_until t horizon
+   with e ->
+     settle t;
+     raise e);
+  settle t;
   if t.clock.(0) < horizon then t.clock.(0) <- horizon
 
 let fiber_count t = t.live

@@ -10,6 +10,10 @@
     Time is virtual, a [float] in seconds. Events scheduled for the same
     instant fire in FIFO order, which makes runs deterministic. *)
 
+type fiber
+(** A spawned simulated process (engine-internal; named here only
+    because {!Equeue.job} carries it). *)
+
 (** The engine's specialised event queue: a binary min-heap on
     (time, seq) as parallel arrays — unboxed float times, int seqs and a
     payload column — so pushes and pops allocate nothing. Exposed for
@@ -19,7 +23,7 @@ module Equeue : sig
   type job =
     | Nop
     | Thunk of (unit -> unit)
-    | Cont of (unit, unit) Effect.Deep.continuation
+    | Run of fiber  (** a fiber's start or wake-up *)
 
   type t
 
@@ -78,14 +82,26 @@ val spawn : t -> ?name:string -> (unit -> unit) -> unit
 
 val delay : t -> float -> unit
 (** [delay t dt] blocks the calling fiber for [dt] seconds of virtual
-    time. [dt] must be non-negative. Must be called from a fiber. *)
+    time. [dt] must be non-negative. Must be called from a fiber.
+
+    When the wake time is strictly before every pending event, the
+    ready ring is empty, the wake time is within the running {!run} or
+    {!run_until} horizon, and the fiber was started or woken by the
+    event loop itself (not resumed from inside other code), the sleep
+    is fast-forwarded: the clock advances in place and the fiber keeps
+    running, without queueing a wake-up. The sleep still counts as one
+    processed event, and the firing order is unchanged: the queued wake
+    would have been the very next event. *)
 
 val suspend : t -> ((unit -> unit) -> unit) -> unit
 (** [suspend t register] blocks the calling fiber and hands a one-shot
     [resume] thunk to [register]. Invoking [resume] (typically from a
     scheduled event or another fiber) continues the fiber at the
-    then-current virtual time. This is the primitive from which ivars
-    and resources are built. *)
+    then-current virtual time; invoking it again raises
+    [Invalid_argument]. This is the primitive from which ivars and
+    resources are built. Scheduling [resume] itself as the event
+    ([schedule t ~at resume], not a closure that calls it) lets the
+    resumed fiber's next {!delay} be fast-forwarded. *)
 
 val run : t -> unit
 (** Run until no events remain. Raises {!Deadlock} if blocked fibers

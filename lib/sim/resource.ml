@@ -1,38 +1,46 @@
-type waiter = { enqueued_at : float; resume : unit -> unit }
-
 type t = {
   engine : Engine.t;
   name : string;
   servers : int;
   mutable held : int;
-  waiters : waiter Queue.t;
+  waiters : (unit -> unit) Queue.t; (* resume thunks, FIFO *)
+  enqueue : (unit -> unit) -> unit; (* [suspend]'s register, built once *)
   mutable served : int;
-  mutable total_wait : float;
-  (* busy-time integral bookkeeping *)
-  mutable busy_integral : float;
-  mutable last_change : float;
+  (* Float statistics in a flat float array, so an update stores an
+     unboxed float instead of boxing a mutable float field:
+     [total_wait], the busy-time integral, and the time of its last
+     change. *)
+  stats : float array;
 }
+
+let total_wait_i = 0
+
+let busy_integral_i = 1
+
+let last_change_i = 2
 
 let create engine ?(name = "resource") ~servers () =
   if servers <= 0 then invalid_arg "Resource.create: servers must be positive";
+  let waiters = Queue.create () in
   {
     engine;
     name;
     servers;
     held = 0;
-    waiters = Queue.create ();
+    waiters;
+    enqueue = (fun resume -> Queue.push resume waiters);
     served = 0;
-    total_wait = 0.0;
-    busy_integral = 0.0;
-    last_change = Engine.now engine;
+    stats = [| 0.0; 0.0; Engine.now engine |];
   }
 
 let name t = t.name
 
 let advance_integral t =
   let now = Engine.now t.engine in
-  t.busy_integral <- t.busy_integral +. (float_of_int t.held *. (now -. t.last_change));
-  t.last_change <- now
+  let s = t.stats in
+  s.(busy_integral_i) <-
+    s.(busy_integral_i) +. (float_of_int t.held *. (now -. s.(last_change_i)));
+  s.(last_change_i) <- now
 
 let acquire t =
   if t.held < t.servers && Queue.is_empty t.waiters then begin
@@ -42,25 +50,27 @@ let acquire t =
   end
   else begin
     let enqueued_at = Engine.now t.engine in
-    Engine.suspend t.engine (fun resume ->
-        Queue.push { enqueued_at; resume } t.waiters);
+    Engine.suspend t.engine t.enqueue;
     (* Woken by [release]: the server was handed to us directly. *)
-    t.total_wait <- t.total_wait +. (Engine.now t.engine -. enqueued_at);
+    t.stats.(total_wait_i) <-
+      t.stats.(total_wait_i) +. (Engine.now t.engine -. enqueued_at);
     t.served <- t.served + 1
   end
 
 let release t =
   if t.held <= 0 then invalid_arg "Resource.release: not held";
-  match Queue.take_opt t.waiters with
-  | Some w ->
-    (* Hand over without decrementing [held]: the server stays busy.
-       Wake at the current instant so FIFO order is preserved. *)
-    Engine.schedule t.engine ~at:(Engine.now t.engine) w.resume
-  | None ->
+  if Queue.is_empty t.waiters then begin
     advance_integral t;
     t.held <- t.held - 1
+  end
+  else
+    (* Hand over without decrementing [held]: the server stays busy.
+       Wake at the current instant so FIFO order is preserved. *)
+    Engine.schedule t.engine ~at:(Engine.now t.engine) (Queue.take t.waiters)
 
-let use t ~service =
+(* Inlined, so a computed [service] reaches [Engine.delay]'s unboxed
+   slot without being boxed at a call. *)
+let[@inline] use t ~service =
   acquire t;
   (match Engine.delay t.engine service with
   | () -> ()
@@ -77,6 +87,6 @@ let served t = t.served
 
 let busy_time t =
   advance_integral t;
-  t.busy_integral
+  t.stats.(busy_integral_i)
 
-let total_wait t = t.total_wait
+let total_wait t = t.stats.(total_wait_i)

@@ -94,6 +94,14 @@ let ( let* ) = Result.bind
 
 type slot = { reserve : int; file_name : string; mutable live : bool }
 
+(* An op's JSON path, rendered only when the op reports an error: a
+   valid program (every [exec]) formats no path string. *)
+type path = Root of string | Elem of path * string * int
+
+let rec render = function
+  | Root s -> s
+  | Elem (p, field, i) -> Printf.sprintf "%s.%s[%d]" (render p) field i
+
 (* [first] and [count] are non-negative, so [first + count] wraps
    exactly when [first > max_int - count]; such an extent is named by
    its start and length instead of its end. Top level, so the closures
@@ -104,7 +112,7 @@ let past_extent path verb file ~first ~count s =
     else Printf.sprintf "blocks [%d, %d)" first (first + count)
   in
   Error
-    ( path,
+    ( render path,
       Printf.sprintf "%s of %s exceeds file %d's %d-block extent" verb blocks file
         s.reserve )
 
@@ -120,7 +128,7 @@ let check ~path t =
     !slots.(!n_slots) <- s;
     incr n_slots
   in
-  let err path msg = Error (path, msg) in
+  let err path msg = Error (render path, msg) in
   let slot path file =
     if file < 0 || file >= !n_slots then
       err path (Printf.sprintf "file %d is not open (%d file%s opened so far)" file !n_slots
@@ -212,7 +220,7 @@ let check ~path t =
         (fun (i, acc) op ->
           ( i + 1,
             let* () = acc in
-            check_op ~static ~path:(Printf.sprintf "%s.%s[%d]" path field i) op ))
+            check_op ~static ~path:(Elem (path, field, i)) op ))
         (0, Ok ()) body
     in
     r
@@ -225,7 +233,7 @@ let check ~path t =
       (fun (i, acc) op ->
         ( i + 1,
           let* () = acc in
-          check_op ~static:true ~path:(Printf.sprintf "%s.ops[%d]" path i) op ))
+          check_op ~static:true ~path:(Elem (Root path, "ops", i)) op ))
       (0, Ok ()) t.ops
   in
   r

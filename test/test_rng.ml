@@ -35,6 +35,41 @@ let split_diverges () =
   done;
   chk_int "split stream is distinct" 0 !clashes
 
+(* Known answers: the first outputs of [Rng.create 0], pinned as
+   literals, so a change to how the generator stores its state cannot
+   alter the stream unnoticed. *)
+let known_answers () =
+  let r = Rng.create 0 in
+  List.iter
+    (fun v -> chk_bool "bits64" true (Rng.bits64 r = v))
+    [ -2152535657050944081L; 7960286522194355700L; 487617019471545679L ];
+  List.iter (fun v -> chk_int "int 1000" v (Rng.int r 1000)) [ 611; 686; 522 ];
+  List.iter
+    (fun v -> chk_int "int max_int" v (Rng.int r max_int))
+    [ 801824006500076728; 3558130466400086735; 1133040290248155824 ];
+  List.iter
+    (fun (a, b) ->
+      chk_bool "float 1" true (Rng.float r 1.0 = a);
+      chk_bool "float 2" true (Rng.float r 2.0 = b))
+    [
+      (0x1.e77091186d196p-1, 0x1.95fbb374f2c4ep-1);
+      (0x1.85a64dc00ab7bp-1, 0x1.0c43407fc177bp+0);
+      (0x1.1c3eeaab30755p-1, 0x1.6a9c1e2c01989p+0);
+    ];
+  let s = Rng.split r in
+  List.iter
+    (fun (child, parent) ->
+      chk_bool "split child" true (Rng.bits64 s = child);
+      chk_bool "split parent" true (Rng.bits64 r = parent))
+    [
+      (6263376026295458474L, 9018883062403043925L);
+      (5795500006345353565L, -4337222557917806714L);
+      (-5697200449958371770L, 3775962213208117092L);
+    ];
+  let c = Rng.copy s in
+  chk_bool "copy" true (Rng.bits64 c = -3206903624325226202L);
+  chk_bool "copied from" true (Rng.bits64 s = -3206903624325226202L)
+
 let int_bounds =
   qcheck "int stays in [0,n)" ~count:500
     QCheck2.Gen.(pair (int_range 1 10000) int)
@@ -111,6 +146,7 @@ let suites =
         case "different seeds" different_seeds;
         case "copy" copy_independent;
         case "split" split_diverges;
+        case "known answers" known_answers;
         case "invalid arguments" invalid_args;
         case "exponential mean" exponential_mean;
         case "uniformity" uniformity;
