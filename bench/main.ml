@@ -318,8 +318,8 @@ let run_micro () =
 
    Hand-rolled steady-state loops (not bechamel): each benchmark reports
    throughput (ops/sec) and minor-heap allocation per op, the two
-   quantities the hot-path re-indexing work (Sched_queue, indexed
-   LRU-2/OPT/RAND) is meant to improve. The *-naive rows run the
+   quantities the hot-path re-indexing work (Sched_queue, the scan-free
+   policy cores) is meant to improve. The *-naive rows run the
    reference implementations on the identical op sequence, so the
    indexed/naive ratio is a machine-independent speedup — that ratio is
    what the --baseline gate checks. See docs/PERF.md. *)
@@ -344,6 +344,9 @@ let speedup_pairs =
   [
     ("disk-queue/fcfs", "disk-queue/fcfs-naive");
     ("disk-queue/scan", "disk-queue/scan-naive");
+    ("policy-miss/fifo", "policy-miss/fifo-naive");
+    ("policy-miss/clock", "policy-miss/clock-naive");
+    ("policy-miss/2q", "policy-miss/2q-naive");
     ("policy-miss/lru2", "policy-miss/lru2-naive");
     ("policy-miss/opt", "policy-miss/opt-naive");
     ("policy-miss/awrp", "policy-miss/awrp-naive");
@@ -434,10 +437,12 @@ let bench_disk_queues () =
     [ ("fcfs", Sq.Fcfs); ("scan", Sq.Scan) ]
 
 (* One op = one trace reference against a full cache of 4096 resident
-   blocks (every reference past the fill is a likely miss), comparing
-   the indexed policies against the linear-scan references. The
-   adaptive pairs set the columnar AWRP and PERCEPTRON cores against
-   their full-table scan twins. *)
+   blocks (every reference past the fill is a likely miss), each core
+   against its naive twin in [Reference]: the slab-list FIFO, CLOCK and
+   2Q against list twins, the heap-indexed LRU-2 and OPT against
+   full-table scans, and the bucketed AWRP and class-heap PERCEPTRON
+   against their full-table scan twins. RAND has no naive row; its
+   alloc budget gates it. *)
 let policy_miss_trace =
   let rng = Acfc_sim.Rng.create 9 in
   let fill = Array.init 4096 (fun i -> Acfc_core.Block.make ~file:0 ~index:i) in
@@ -451,7 +456,13 @@ let bench_policy_miss () =
       measure_perf ~name ~warmup:1 ~iters:1 ~batch (fun () ->
           ignore (Policy_sim.run policy ~capacity:4096 policy_miss_trace)))
     [
-      ("policy-miss/lru2", (module Cores.Lru_2 : Policy_sim.POLICY));
+      ("policy-miss/fifo", (module Cores.Fifo : Policy_sim.POLICY));
+      ("policy-miss/fifo-naive", (module Reference.Fifo));
+      ("policy-miss/clock", (module Cores.Clock));
+      ("policy-miss/clock-naive", (module Reference.Clock));
+      ("policy-miss/2q", (module Cores.Two_q));
+      ("policy-miss/2q-naive", (module Reference.Two_q));
+      ("policy-miss/lru2", (module Cores.Lru_2));
       ("policy-miss/lru2-naive", (module Reference.Lru_2));
       ("policy-miss/opt", (module Cores.Opt));
       ("policy-miss/opt-naive", (module Reference.Opt));

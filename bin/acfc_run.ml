@@ -840,16 +840,7 @@ let policies_cmd =
         let ic = open_in path in
         Fun.protect ~finally:(fun () -> close_in ic) (fun () ->
             Acfc_replacement.Recorder.to_trace (Acfc_replacement.Recorder.load ic))
-      | None ->
-      match pattern with
-      | "cyclic" -> Trace.cyclic ~file:0 ~blocks ~passes:5
-      | "sequential" -> Trace.sequential ~file:0 ~blocks
-      | "random" -> Trace.random ~rng ~file:0 ~blocks ~length:(5 * blocks)
-      | "hot-cold" ->
-        Trace.hot_cold ~rng ~hot_file:0 ~hot_blocks:(blocks / 10) ~cold_file:1
-          ~cold_blocks:blocks ~hot_fraction:0.9 ~length:(5 * blocks)
-      | "zipf" -> Trace.zipf ~rng ~file:0 ~blocks ~skew:1.0 ~length:(5 * blocks)
-      | p -> failwith ("unknown trace pattern: " ^ p)
+      | None -> Trace.pattern ~rng ~blocks pattern
     in
     Format.printf "trace: %a@." Trace.pp_summary trace;
     (* Each policy simulates the (immutable) trace independently; run

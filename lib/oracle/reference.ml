@@ -9,10 +9,12 @@
    are unique); OPT's never-used-again tier is broken by the block
    identity (any choice in that tier yields the same miss count); RAND's
    twin replays the same swap-with-last discipline over a plain list so
-   the shared RNG draw sequence lands on the same block. The stock twins
-   run only under {!Policy_core.replay}, which never invalidates or
-   hints, so they treat [Invalidate] as [Evict] and ignore [Hint]. O(n)
-   per miss — do not use outside tests and benches. *)
+   the shared RNG draw sequence lands on the same block. The stock
+   policies ignore [Hint]; all but 2Q treat [Invalidate] as [Evict],
+   and 2Q, like its core, records no ghost for an invalidation. The
+   qcheck lockstep in [test/test_policy_core.ml] drives the twins with
+   invalidations, hints and overruled victims. O(n) per miss — do not
+   use outside tests and benches. *)
 
 module Block = Acfc_core.Block
 module Policy_core = Acfc_policy.Policy_core
@@ -162,6 +164,13 @@ module Two_q = struct
 
   let name = "2Q-REF"
 
+  let stats t =
+    [
+      ("a1in", float_of_int (List.length t.a1in));
+      ("am", float_of_int (List.length t.am));
+      ("ghost", float_of_int (List.length t.a1out));
+    ]
+
   let create ~capacity ~future:_ =
     {
       kin = Stdlib.max 1 (capacity / 4);
@@ -196,7 +205,11 @@ module Two_q = struct
          past kout), exactly like the indexed ghost table. *)
       if List.exists (Block.equal block) t.a1out then t.am <- block :: t.am
       else t.a1in <- t.a1in @ [ block ]
-    | Evict { block } | Invalidate { block } -> removed t block
+    | Evict { block } -> removed t block
+    | Invalidate { block } ->
+      (* Invalidation is not a replacement decision: no ghost entry. *)
+      t.a1in <- without block t.a1in;
+      t.am <- without block t.am
     | Hint _ -> ()
 end
 

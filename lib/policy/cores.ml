@@ -2,78 +2,29 @@
    machine. The eight stock policies keep the exact victim behaviour of
    their former record-based incarnations (pinned by the record twins
    that `bench check` replays against them, and by the behaviour
-   suites), re-expressed over events. The queue-based cores (FIFO,
-   CLOCK, 2Q) formerly popped their victim inside the choice; here the
-   choice is a peek and the removal happens at the {!Policy_core.Evict}
-   event, with stamped queue entries skipped lazily — for the offline
-   replay this is the identical sequence of operations, and it
-   additionally tolerates a live kernel evicting a block other than the
-   one named (overrule, invalidation). *)
+   suites), re-expressed over events. No core scans its residents for
+   a victim or allocates per event at steady state: the queue-based
+   cores (FIFO, CLOCK, 2Q) keep their queues as {!Islab} lists, newest
+   at the front, so the choice is a peek at the back and the removal
+   happens at the {!Policy_core.Evict} event — which also tolerates a
+   live kernel evicting a block other than the one named (overrule,
+   invalidation); LRU-2 and OPT keep their residents in one {!Iheap}
+   whose top is the victim; the learned cores answer from per-bucket
+   or per-class minima. *)
 
 module Block = Acfc_core.Block
 module Ilist = Acfc_core.Ilist
 module Itbl = Acfc_core.Itbl
 open Policy_core
 
-(* FIFO-ordered queue of blocks that survives out-of-order removals: a
-   stdlib [Queue] of stamped entries plus a block -> live-stamp table.
-   Removal just drops the table entry; stale queue entries are skipped
-   when the front is inspected. The old destructive pop-at-choice
-   behaviour is recovered by [drop_front] at eviction time. *)
-module Squeue = struct
-  type t = {
-    q : (int * Block.t) Queue.t;
-    live : (Block.t, int) Hashtbl.t;
-    mutable stamp : int;
-  }
+(* Filler for empty [Block.t] slots. *)
+let dummy = Block.make ~file:0 ~index:0
 
-  let create () = { q = Queue.create (); live = Hashtbl.create 1024; stamp = 0 }
-
-  let length t = Hashtbl.length t.live
-
-  let push t block =
-    t.stamp <- t.stamp + 1;
-    Hashtbl.replace t.live block t.stamp;
-    Queue.push (t.stamp, block) t.q
-
-  (* Discard stale entries so the physical front is a live member. *)
-  let rec settle t =
-    match Queue.peek_opt t.q with
-    | None -> ()
-    | Some (stamp, block) ->
-      (match Hashtbl.find_opt t.live block with
-      | Some live when live = stamp -> ()
-      | Some _ | None ->
-        ignore (Queue.pop t.q);
-        settle t)
-
-  let front t =
-    settle t;
-    match Queue.peek_opt t.q with
-    | Some (_, block) -> block
-    | None -> failwith "Squeue: empty"
-
-  (* Remove [block]; additionally pop it when it is the physical front,
-     matching the destructive choice of the pre-core queue policies. *)
-  let drop t block =
-    settle t;
-    (match Queue.peek_opt t.q with
-    | Some (stamp, b)
-      when Block.equal b block
-           && (match Hashtbl.find_opt t.live block with
-              | Some live -> live = stamp
-              | None -> false) ->
-      ignore (Queue.pop t.q)
-    | Some _ | None -> ());
-    Hashtbl.remove t.live block
-
-  (* Rotate the live front entry to the tail (CLOCK second chance). *)
-  let rotate t =
-    settle t;
-    let stamp, block = Queue.pop t.q in
-    Queue.push (stamp, block) t.q;
-    block
-end
+(* Widen an int column to [n] cells, preserving its contents. *)
+let widen col n =
+  let c = Array.make n 0 in
+  Array.blit col 0 c 0 (Array.length col);
+  c
 
 (* Shared recency-list state for LRU and MRU. *)
 module Recency = struct
@@ -120,7 +71,9 @@ module Mru = struct
 end
 
 module Fifo = struct
-  type t = Squeue.t
+  (* Admission order, newest at the front: the victim is the back.
+     References do not move a block. *)
+  type t = Islab.t
 
   let name = "FIFO"
 
@@ -130,20 +83,24 @@ module Fifo = struct
 
   let needs_future = false
 
-  let create ~capacity:_ ~future:_ = Squeue.create ()
+  let create ~capacity ~future:_ = Islab.create capacity
 
   let on_event t = function
     | Reference _ | Hint _ -> ()
-    | Admit { block; _ } -> Squeue.push t block
-    | Evict { block } | Invalidate { block } -> Squeue.drop t block
+    | Admit { block; _ } -> Islab.push_front t block
+    | Evict { block } | Invalidate { block } -> Islab.remove t block
 
-  let victim t ~pos:_ ~missing:_ = Squeue.front t
+  let victim t ~pos:_ ~missing:_ =
+    if Islab.is_empty t then failwith "FIFO: empty";
+    Islab.back t
 
-  let stats t = [ ("resident", float_of_int (Squeue.length t)) ]
+  let stats t = [ ("resident", float_of_int (Islab.length t)) ]
 end
 
 module Clock = struct
-  type t = { ring : Squeue.t; referenced : (Block.t, unit) Hashtbl.t }
+  (* The ring in admission order, newest at the front: the hand is the
+     back, and a second chance moves the hand's block to the front. *)
+  type t = { ring : Islab.t; referenced : Itbl.t  (* Block.pack -> 1 *) }
 
   let name = "CLOCK"
 
@@ -153,51 +110,103 @@ module Clock = struct
 
   let needs_future = false
 
-  let create ~capacity:_ ~future:_ =
-    { ring = Squeue.create (); referenced = Hashtbl.create 1024 }
+  let create ~capacity ~future:_ =
+    { ring = Islab.create capacity; referenced = Itbl.create capacity }
 
   let on_event t = function
-    | Reference { block; _ } -> Hashtbl.replace t.referenced block ()
-    | Admit { block; _ } -> Squeue.push t.ring block
+    | Reference { block; _ } -> Itbl.set t.referenced (Block.pack block) 1
+    | Admit { block; _ } -> Islab.push_front t.ring block
     | Evict { block } | Invalidate { block } ->
-      Squeue.drop t.ring block;
-      Hashtbl.remove t.referenced block
+      Islab.remove t.ring block;
+      Itbl.remove t.referenced (Block.pack block)
     | Hint _ -> ()
 
   let rec victim t ~pos ~missing =
-    let block = Squeue.front t.ring in
-    if Hashtbl.mem t.referenced block then begin
+    if Islab.is_empty t.ring then failwith "CLOCK: empty";
+    let block = Islab.back t.ring in
+    let key = Block.pack block in
+    if Itbl.mem t.referenced key then begin
       (* Second chance: clear the bit and move the hand on. *)
-      Hashtbl.remove t.referenced block;
-      ignore (Squeue.rotate t.ring);
+      Itbl.remove t.referenced key;
+      Islab.move_front t.ring block;
       victim t ~pos ~missing
     end
     else block
 
-  let stats t = [ ("resident", float_of_int (Squeue.length t.ring)) ]
+  let stats t = [ ("resident", float_of_int (Islab.length t.ring)) ]
 end
 
-(* Victim orderings for the indexed LRU-2 and OPT below. Both keys are
-   total orders: last-reference positions are unique across resident
-   blocks (each stream position references exactly one block), and the
-   OPT key carries the block identity for the never-used-again tier. *)
-module Pair_map = Map.Make (struct
-  type t = int * int
+(* Resident blocks in free-listed slots, ordered by one indexed heap:
+   the state of LRU-2 and OPT, whose victim is the heap top. Both keys
+   are total orders, so the top is unique. *)
+module Ranked = struct
+  type t = {
+    index : Itbl.t;  (* Block.pack -> slot *)
+    mutable blocks : Block.t array;  (* slot -> block *)
+    mutable free : int array;  (* stack of free slots *)
+    mutable nfree : int;
+    keys : Iheap.store;
+    heap : Iheap.t;
+  }
 
-  let compare (a1, b1) (a2, b2) =
-    match Int.compare a1 a2 with 0 -> Int.compare b1 b2 | c -> c
-end)
+  let create capacity =
+    let n = Stdlib.max 16 (capacity + 1) in
+    {
+      index = Itbl.create n;
+      blocks = Array.make n dummy;
+      free = Array.init n (fun i -> n - 1 - i);
+      nfree = n;
+      keys = Iheap.store n;
+      heap = Iheap.create n;
+    }
+
+  let length t = Iheap.length t.heap
+
+  (* Slot of a packed block, or -1. *)
+  let find t key = Itbl.find t.index key
+
+  let grow t =
+    let old = Array.length t.blocks in
+    let n = 2 * old in
+    let blocks = Array.make n dummy in
+    Array.blit t.blocks 0 blocks 0 old;
+    t.blocks <- blocks;
+    Iheap.reserve t.keys n;
+    t.free <- widen t.free n;
+    for i = 0 to old - 1 do
+      t.free.(i) <- n - 1 - i
+    done;
+    t.nfree <- old
+
+  let insert t block key ~hi ~lo =
+    if t.nfree = 0 then grow t;
+    t.nfree <- t.nfree - 1;
+    let s = t.free.(t.nfree) in
+    t.blocks.(s) <- block;
+    Itbl.set t.index key s;
+    Iheap.add t.keys t.heap s ~hi ~lo
+
+  let rekey t s ~hi ~lo = Iheap.rekey t.keys t.heap s ~hi ~lo
+
+  let release t s key =
+    Iheap.remove t.keys t.heap s;
+    Itbl.remove t.index key;
+    t.blocks.(s) <- dummy;
+    t.free.(t.nfree) <- s;
+    t.nfree <- t.nfree + 1
+
+  let top t ~name =
+    if Iheap.is_empty t.heap then failwith (name ^ ": empty");
+    t.blocks.(Iheap.top t.heap)
+end
 
 module Lru_2 = struct
-  (* history: positions of the last two references, most recent first;
-     victims: the same entries keyed by (penultimate, last) so the
-     eviction choice — oldest penultimate reference, ties broken by the
-     older last reference — is the map's minimum binding instead of a
-     full-table scan per miss. *)
-  type t = {
-    history : (Block.t, int * int) Hashtbl.t;
-    mutable victims : Block.t Pair_map.t;
-  }
+  (* Residents keyed by (penultimate, last) reference position, [never]
+     for a block referenced once: the victim — oldest penultimate
+     reference, ties broken by the older last reference — is the heap
+     top. Last-reference positions are unique across residents (each
+     stream position references one block), so the key is total. *)
+  type t = Ranked.t
 
   let name = "LRU-2"
 
@@ -209,35 +218,25 @@ module Lru_2 = struct
 
   let never = -1
 
-  let create ~capacity:_ ~future:_ =
-    { history = Hashtbl.create 1024; victims = Pair_map.empty }
+  let create ~capacity ~future:_ = Ranked.create capacity
 
   let record t ~pos block =
-    let last, penultimate =
-      Option.value (Hashtbl.find_opt t.history block) ~default:(never, never)
-    in
-    if last <> never then t.victims <- Pair_map.remove (penultimate, last) t.victims;
-    Hashtbl.replace t.history block (pos, last);
-    t.victims <- Pair_map.add (last, pos) block t.victims
-
-  let forget t block =
-    match Hashtbl.find_opt t.history block with
-    | Some (last, penultimate) ->
-      t.victims <- Pair_map.remove (penultimate, last) t.victims;
-      Hashtbl.remove t.history block
-    | None -> ()
+    let key = Block.pack block in
+    let s = Ranked.find t key in
+    if s < 0 then Ranked.insert t block key ~hi:never ~lo:pos
+    else Ranked.rekey t s ~hi:t.keys.lo.(s) ~lo:pos
 
   let on_event t = function
     | Reference { pos; block } | Admit { pos; block } -> record t ~pos block
-    | Evict { block } | Invalidate { block } -> forget t block
+    | Evict { block } | Invalidate { block } ->
+      let key = Block.pack block in
+      let s = Ranked.find t key in
+      if s >= 0 then Ranked.release t s key
     | Hint _ -> ()
 
-  let victim t ~pos:_ ~missing:_ =
-    match Pair_map.min_binding_opt t.victims with
-    | Some (_, block) -> block
-    | None -> failwith "LRU-2: empty"
+  let victim t ~pos:_ ~missing:_ = Ranked.top t ~name
 
-  let stats t = [ ("resident", float_of_int (Hashtbl.length t.history)) ]
+  let stats t = [ ("resident", float_of_int (Ranked.length t)) ]
 end
 
 module Rand = struct
@@ -249,7 +248,7 @@ module Rand = struct
     rng : Acfc_sim.Rng.t;
     mutable arr : Block.t array;
     mutable n : int;
-    index : (Block.t, int) Hashtbl.t;  (* block -> slot in [arr] *)
+    index : Itbl.t;  (* Block.pack -> slot in [arr] *)
   }
 
   let name = "RAND"
@@ -263,32 +262,33 @@ module Rand = struct
   let create ~capacity ~future:_ =
     {
       rng = Acfc_sim.Rng.create (capacity + 7);
-      arr = [||];
+      arr = Array.make (Stdlib.max 16 capacity) dummy;
       n = 0;
-      index = Hashtbl.create 1024;
+      index = Itbl.create capacity;
     }
 
   let inserted t block =
     if t.n = Array.length t.arr then begin
-      let cap = Stdlib.max 16 (2 * t.n) in
-      let arr = Array.make cap block in
+      let arr = Array.make (2 * t.n) dummy in
       Array.blit t.arr 0 arr 0 t.n;
       t.arr <- arr
     end;
     t.arr.(t.n) <- block;
-    Hashtbl.replace t.index block t.n;
+    Itbl.set t.index (Block.pack block) t.n;
     t.n <- t.n + 1
 
   let removed t block =
-    match Hashtbl.find_opt t.index block with
-    | None -> ()
-    | Some i ->
+    let key = Block.pack block in
+    let i = Itbl.find t.index key in
+    if i >= 0 then begin
       let last = t.n - 1 in
       let moved = t.arr.(last) in
       t.arr.(i) <- moved;
-      Hashtbl.replace t.index moved i;
-      Hashtbl.remove t.index block;
+      Itbl.set t.index (Block.pack moved) i;
+      Itbl.remove t.index key;
+      t.arr.(last) <- dummy;
       t.n <- last
+    end
 
   let on_event t = function
     | Reference _ | Hint _ -> ()
@@ -302,25 +302,20 @@ module Rand = struct
   let stats t = [ ("resident", float_of_int t.n) ]
 end
 
-module Opt_victims = Set.Make (struct
-  type t = int * Block.t  (* (next use, block) *)
-
-  let compare (u1, b1) (u2, b2) =
-    match Int.compare u1 u2 with 0 -> Block.compare b1 b2 | c -> c
-end)
-
 module Opt = struct
+  (* Residents keyed by (-next use, -Block.pack): the heap top is the
+     farthest next use. Never-used-again blocks share the key max_int;
+     the block identity breaks the tie deterministically, and any
+     choice among them yields the same miss count (none is referenced
+     again). A resident's next use is also its consumption cursor: the
+     position its next event must carry. *)
   type t = {
-    (* For each block, the stream positions where it is referenced, in
-       order, with the already-consumed prefix removed. *)
-    future : (Block.t, int list ref) Hashtbl.t;
-    resident : (Block.t, int) Hashtbl.t;  (* block -> its key in [victims] *)
-    (* Resident blocks keyed by next use, so the farthest-future victim
-       is the maximum element instead of a full-table scan per miss.
-       Never-used-again blocks sit at max_int, tied; the block identity
-       in the key makes the choice deterministic, and any choice among
-       them yields the same miss count (none is referenced again). *)
-    mutable victims : Opt_victims.t;
+    next : int array;  (* position -> next position of its block, or max_int *)
+    cursor : Itbl.t;
+        (* Block.pack -> next unconsumed position of a non-resident
+           block (max_int once its stream is spent); stale while the
+           block is resident, written back when it leaves *)
+    resident : Ranked.t;
   }
 
   let name = "OPT"
@@ -331,76 +326,60 @@ module Opt = struct
 
   let needs_future = true
 
-  let create ~capacity:_ ~future:trace =
-    let future = Hashtbl.create 1024 in
-    Array.iteri
-      (fun pos block ->
-        match Hashtbl.find_opt future block with
-        | Some l -> l := pos :: !l
-        | None -> Hashtbl.replace future block (ref [ pos ]))
-      trace;
-    Hashtbl.iter (fun _ l -> l := List.rev !l) future;
-    { future; resident = Hashtbl.create 1024; victims = Opt_victims.empty }
+  (* One backward pass: each position's next use is the block's last
+     position seen so far, and the pass ends with every block's first
+     position, its initial cursor. *)
+  let create ~capacity ~future:trace =
+    let n = Array.length trace in
+    let next = Array.make n max_int in
+    let cursor = Itbl.create 1024 in
+    for pos = n - 1 downto 0 do
+      let key = Block.pack trace.(pos) in
+      let later = Itbl.find cursor key in
+      if later >= 0 then next.(pos) <- later;
+      Itbl.set cursor key pos
+    done;
+    { next; cursor; resident = Ranked.create capacity }
 
-  let consume t ~pos block =
-    let l = Hashtbl.find t.future block in
-    match !l with
-    | p :: rest when p = pos -> l := rest
-    | _ -> failwith "OPT: stream position mismatch"
-
-  let next_use t block =
-    match !(Hashtbl.find t.future block) with [] -> max_int | p :: _ -> p
-
-  let reindex t block use =
-    Hashtbl.replace t.resident block use;
-    t.victims <- Opt_victims.add (use, block) t.victims
-
-  let drop t block =
-    match Hashtbl.find_opt t.resident block with
-    | Some use ->
-      t.victims <- Opt_victims.remove (use, block) t.victims;
-      Hashtbl.remove t.resident block
-    | None -> ()
+  let mismatch () = failwith "OPT: stream position mismatch"
 
   let on_event t = function
     | Reference { pos; block } ->
-      (* The stored key is the block's next use, which is this
-         reference: drop it, consume the position, and re-key at the
-         new next use. *)
-      (match Hashtbl.find_opt t.resident block with
-      | Some use -> t.victims <- Opt_victims.remove (use, block) t.victims
-      | None -> failwith "OPT: hit on non-resident block");
-      consume t ~pos block;
-      reindex t block (next_use t block)
+      let key = Block.pack block in
+      let s = Ranked.find t.resident key in
+      if s < 0 then failwith "OPT: hit on non-resident block";
+      if t.resident.keys.hi.(s) <> -pos then mismatch ();
+      Ranked.rekey t.resident s ~hi:(-t.next.(pos)) ~lo:(-key)
     | Admit { pos; block } ->
-      consume t ~pos block;
-      reindex t block (next_use t block)
-    | Evict { block } | Invalidate { block } -> drop t block
+      let key = Block.pack block in
+      if Itbl.find t.cursor key <> pos then mismatch ();
+      Ranked.insert t.resident block key ~hi:(-t.next.(pos)) ~lo:(-key)
+    | Evict { block } | Invalidate { block } ->
+      let key = Block.pack block in
+      let s = Ranked.find t.resident key in
+      if s >= 0 then begin
+        Itbl.set t.cursor key (-t.resident.keys.hi.(s));
+        Ranked.release t.resident s key
+      end
     | Hint _ -> ()
 
-  let victim t ~pos:_ ~missing:_ =
-    match Opt_victims.max_elt_opt t.victims with
-    | Some (_, block) -> block
-    | None -> failwith "OPT: empty"
+  let victim t ~pos:_ ~missing:_ = Ranked.top t.resident ~name
 
-  let stats t = [ ("resident", float_of_int (Hashtbl.length t.resident)) ]
+  let stats t = [ ("resident", float_of_int (Ranked.length t.resident)) ]
 end
 
 module Two_q = struct
   (* Simplified full 2Q (Johnson & Shasha, VLDB '94 — contemporaneous
      with the paper): new pages enter the FIFO probation queue A1in;
      pages re-referenced after leaving it (tracked by the ghost queue
-     A1out) are promoted to the protected LRU queue Am. *)
-  type queue = A1in | Am
-
+     A1out) are promoted to the protected LRU queue Am. All three
+     queues are slab lists, newest at the front. *)
   type t = {
     kin : int;  (* A1in capacity *)
     kout : int;  (* A1out ghost capacity *)
-    a1in : Squeue.t;
+    a1in : Islab.t;
     am : Islab.t;
-    where : (Block.t, queue) Hashtbl.t;  (* resident pages only *)
-    a1out : Block.t Queue.t;  (* ghosts: identities only *)
-    ghost : (Block.t, unit) Hashtbl.t;
+    a1out : Islab.t;  (* ghosts: identities only *)
   }
 
   let name = "2Q"
@@ -412,69 +391,64 @@ module Two_q = struct
   let needs_future = false
 
   let create ~capacity ~future:_ =
+    let kout = Stdlib.max 1 (capacity / 2) in
     {
       kin = Stdlib.max 1 (capacity / 4);
-      kout = Stdlib.max 1 (capacity / 2);
-      a1in = Squeue.create ();
+      kout;
+      a1in = Islab.create capacity;
       am = Islab.create capacity;
-      where = Hashtbl.create 1024;
-      a1out = Queue.create ();
-      ghost = Hashtbl.create 1024;
+      a1out = Islab.create (kout + 1);
     }
 
+  (* A page enters A1in only when it is not a ghost, and leaves A1out
+     only by aging, so a page pushed here is never already a ghost. *)
   let remember_ghost t block =
-    Queue.push block t.a1out;
-    Hashtbl.replace t.ghost block ();
-    while Queue.length t.a1out > t.kout do
-      Hashtbl.remove t.ghost (Queue.pop t.a1out)
+    Islab.push_front t.a1out block;
+    while Islab.length t.a1out > t.kout do
+      Islab.remove t.a1out (Islab.back t.a1out)
     done
 
   let on_event t = function
     | Reference { block; _ } ->
-      (match Hashtbl.find_opt t.where block with
-      | Some Am -> Islab.move_front t.am block
-      | Some A1in -> ()  (* classic 2Q: probation hits do not promote *)
-      | None -> assert false)
+      (* Classic 2Q: probation hits do not promote. *)
+      if Islab.mem t.am block then Islab.move_front t.am block
+      else if not (Islab.mem t.a1in block) then
+        failwith "2Q: reference to non-resident block"
     | Admit { block; _ } ->
-      if Hashtbl.mem t.ghost block then begin
-        (* Seen recently: promote straight to the protected queue. *)
-        Hashtbl.replace t.where block Am;
-        Islab.push_front t.am block
-      end
-      else begin
-        Hashtbl.replace t.where block A1in;
-        Squeue.push t.a1in block
-      end
+      (* Seen recently: promote straight to the protected queue. A
+         ghost entry survives promotion; it leaves A1out only by aging
+         past kout. *)
+      if Islab.mem t.a1out block then Islab.push_front t.am block
+      else Islab.push_front t.a1in block
     | Evict { block } ->
-      (match Hashtbl.find_opt t.where block with
-      | Some Am -> Islab.remove t.am block
-      | Some A1in ->
+      if Islab.mem t.am block then Islab.remove t.am block
+      else if Islab.mem t.a1in block then begin
         (* A replaced probation page is remembered so a prompt
            re-reference proves it deserves the protected queue. *)
-        Squeue.drop t.a1in block;
+        Islab.remove t.a1in block;
         remember_ghost t block
-      | None -> ());
-      Hashtbl.remove t.where block
+      end
     | Invalidate { block } ->
       (* Invalidation is not a replacement decision: no ghost entry. *)
-      (match Hashtbl.find_opt t.where block with
-      | Some Am -> Islab.remove t.am block
-      | Some A1in -> Squeue.drop t.a1in block
-      | None -> ());
-      Hashtbl.remove t.where block
+      Islab.remove t.am block;
+      Islab.remove t.a1in block
     | Hint _ -> ()
 
   let victim t ~pos:_ ~missing:_ =
-    if Squeue.length t.a1in > t.kin || Islab.is_empty t.am then Squeue.front t.a1in
+    if Islab.length t.a1in > t.kin || Islab.is_empty t.am then begin
+      if Islab.is_empty t.a1in then failwith "2Q: empty";
+      Islab.back t.a1in
+    end
     else Islab.back t.am
 
   let stats t =
     [
-      ("a1in", float_of_int (Squeue.length t.a1in));
+      ("a1in", float_of_int (Islab.length t.a1in));
       ("am", float_of_int (Islab.length t.am));
-      ("ghost", float_of_int (Hashtbl.length t.ghost));
+      ("ghost", float_of_int (Islab.length t.a1out));
     ]
 end
+
 
 (* {2 Adaptive policies} *)
 
@@ -493,9 +467,9 @@ module Arc = struct
     b1 : Islab.t;  (* ghosts of T1 evictions *)
     b2 : Islab.t;  (* ghosts of T2 evictions *)
     mutable p : int;  (* target size of T1, 0..cap *)
-    mutable adapted_for : Block.t option;
-        (* missing block [victim] already adapted [p] for, so the
-           paired [Admit] does not adapt twice *)
+    mutable adapted_for : int;
+        (* Block.pack of the missing block [victim] already adapted [p]
+           for, so the paired [Admit] does not adapt twice; -1 for none *)
   }
 
   let name = "ARC"
@@ -514,7 +488,7 @@ module Arc = struct
       b1 = Islab.create capacity;
       b2 = Islab.create capacity;
       p = 0;
-      adapted_for = None;
+      adapted_for = -1;
     }
 
   let trim ghost cap =
@@ -549,10 +523,9 @@ module Arc = struct
       end
       else Islab.move_front t.t2 block
     | Admit { block; _ } ->
-      (match t.adapted_for with
-      | Some b when Block.equal b block -> ()  (* [victim] already adapted *)
-      | Some _ | None -> adapt t block);
-      t.adapted_for <- None;
+      (* Unless [victim] already adapted for this block. *)
+      if t.adapted_for <> Block.pack block then adapt t block;
+      t.adapted_for <- -1;
       if Islab.mem t.b1 block || Islab.mem t.b2 block then begin
         (* A ghost hit re-enters directly on the frequency side. *)
         Islab.remove t.b1 block;
@@ -581,7 +554,7 @@ module Arc = struct
      meets it and the missing block is a B2 ghost, about to grow T2). *)
   let victim t ~pos:_ ~missing =
     adapt t missing;
-    t.adapted_for <- Some missing;
+    t.adapted_for <- Block.pack missing;
     let l1 = Islab.length t.t1 in
     if l1 > 0 && (l1 > t.p || (Islab.mem t.b2 missing && l1 = t.p)) then
       Islab.back t.t1
@@ -656,12 +629,6 @@ module Ghost = struct
     t.nfree <- t.nfree + 1
 end
 
-(* Widen an int column to [n] cells, preserving its contents. *)
-let widen col n =
-  let c = Array.make n 0 in
-  Array.blit col 0 c 0 (Array.length col);
-  c
-
 module Awrp = struct
   (* Adaptive Weight Ranking Policy (arXiv:1107.4851): every resident
      block is ranked by a weighted sum of a frequency term and a recency
@@ -714,8 +681,6 @@ module Awrp = struct
   let w_min = 0.05
 
   let w_max = 0.95
-
-  let dummy = Block.make ~file:0 ~index:0
 
   let create ~capacity ~future:_ =
     let cap = Stdlib.max 1 capacity in
@@ -860,19 +825,33 @@ module Perceptron = struct
   (* LearnedCache-style perceptron eviction: each resident block is
      scored by a dot product of learned weights with a feature vector
      (bias, recency age, saturating log reference count, priority-level
-     hint, file-id hash); the lowest score is evicted. Learning is
-     ghost-driven: evicting a block that promptly returns was a mistake
-     (weights move toward its features); a ghost expiring un-referenced
-     confirms the eviction (weights move away). Weights are clamped, so
-     they stay finite on any stream — asserted by qcheck.
+     hint, file-id hash); the lowest score is evicted, ties broken by
+     the smaller block. Learning is ghost-driven: evicting a block that
+     promptly returns was a mistake (weights move toward its features);
+     a ghost expiring un-referenced confirms the eviction (weights move
+     away). Weights are clamped, so they stay finite on any stream —
+     asserted by qcheck. A ghost keeps the eviction-time [cnt] and
+     level: eviction-time features are taken at the block's own last
+     reference (age 0), so the two ints determine the feature vector.
 
-     The weights change at almost every eviction, so the victim query is
-     a linear scan — but a dense one: resident blocks sit in a
-     swap-remove slot array ([cnt]/[last]/[level] columns), the features
-     are computed inline from the columns, and nothing is allocated. A
-     ghost keeps the eviction-time [cnt] and [level]: eviction-time
-     features are taken at the block's own last reference (age 0), so
-     the two ints determine the feature vector exactly. *)
+     The recency weight [w1] therefore never moves: every update adds
+     [±lr *. 0.0 = ±0.0] to [+0.0], which stays [+0.0]. A score's age
+     term [w1 *. age] is then [±0.0], and adding it changes nothing:
+     the partial sum before it, [0.0 +. w0], is never [-0.0], and
+     [x +. ±0.0 = x] for every other [x]. So the term is dropped, and a
+     score depends only on the block's class: its saturated count
+     [min cnt 256], its level and the byte of its file-id hash. Every
+     member of a class has the same score, bit for bit.
+
+     Residents sit in free-listed slots ([cnt]/[lid]/[cls] columns),
+     each in its class's {!Iheap} keyed by Block.pack, so a class's
+     smallest block is its heap top. A victim query scores each
+     populated class once and takes the (score, block) minimum over the
+     class tops: exactly the victim of a full scan
+     (Reference.Perceptron_scan, checked in lockstep by
+     test/test_policy_core.ml), in O(classes) with no allocation.
+     Classes are recycled through a spare stack and keep their heap
+     arrays, so steady-state churn allocates nothing. *)
   let n_features = 5
 
   let lr = 0.0625
@@ -882,12 +861,23 @@ module Perceptron = struct
   type t = {
     cap : int;
     index : Itbl.t;  (* Block.pack -> slot *)
-    mutable n : int;  (* slots [0, n) are resident *)
-    mutable blocks : Block.t array;
-    mutable key : int array;  (* slot -> Block.pack *)
+    mutable blocks : Block.t array;  (* slot -> block *)
     mutable cnt : int array;
-    mutable last : int array;
-    mutable level : int array;  (* from Hint events; 0 = unhinted *)
+    mutable lid : int array;  (* slot -> interned level; 0 = unhinted *)
+    mutable cls : int array;  (* slot -> class *)
+    mutable free : int array;  (* stack of free slots *)
+    mutable nfree : int;
+    keys : Iheap.store;  (* hi = the slot's Block.pack *)
+    classes : Itbl.t;  (* class code -> class *)
+    mutable code : int array;  (* class -> code *)
+    mutable members : Iheap.t array;  (* class -> its slots *)
+    mutable live : int array;  (* the populated classes, densely *)
+    mutable live_at : int array;  (* class -> index in [live] *)
+    mutable nlive : int;
+    mutable spare : int array;  (* stack of unpopulated classes *)
+    mutable nspare : int;
+    levels : (int, int) Hashtbl.t;  (* hint level -> lid *)
+    mutable level_of : int array;  (* lid -> hint level *)
     ghost : Ghost.t;  (* a = cnt, b = level at eviction *)
     w : float array;
     mutable updates : int;
@@ -901,20 +891,31 @@ module Perceptron = struct
 
   let needs_future = false
 
-  let dummy = Block.make ~file:0 ~index:0
-
   let create ~capacity ~future:_ =
     let cap = Stdlib.max 1 capacity in
-    let n = cap + 1 in
+    let n = cap + 1 and k = 16 in
+    let levels = Hashtbl.create 8 in
+    Hashtbl.add levels 0 0;
     {
       cap;
       index = Itbl.create n;
-      n = 0;
       blocks = Array.make n dummy;
-      key = Array.make n 0;
       cnt = Array.make n 0;
-      last = Array.make n 0;
-      level = Array.make n 0;
+      lid = Array.make n 0;
+      cls = Array.make n 0;
+      free = Array.init n (fun i -> n - 1 - i);
+      nfree = n;
+      keys = Iheap.store n;
+      classes = Itbl.create k;
+      code = Array.make k 0;
+      members = Array.init k (fun _ -> Iheap.create 0);
+      live = Array.make k 0;
+      live_at = Array.make k 0;
+      nlive = 0;
+      spare = Array.init k (fun i -> k - 1 - i);
+      nspare = k;
+      levels;
+      level_of = Array.make 8 0;
       ghost = Ghost.create cap;
       w = Array.make n_features 0.0;
       updates = 0;
@@ -926,7 +927,7 @@ module Perceptron = struct
     Array.init 257 (fun c ->
         Stdlib.min 1.0 (log (1.0 +. float_of_int c) /. log 256.0))
 
-  let[@inline] freq cnt = freq_table.(if cnt < 256 then cnt else 256)
+  let[@inline] saturate cnt = if cnt < 256 then cnt else 256
 
   (* [level / 8.0]; scaling by a power of two rounds the same real
      value, so the product is bit-identical to the quotient. *)
@@ -936,7 +937,12 @@ module Perceptron = struct
      the original expression too. *)
   let file_hash_table = Array.init 256 (fun h -> float_of_int h /. 255.0)
 
-  let[@inline] file_hash key = file_hash_table.((key lsr 32) * 2654435761 land 255)
+  let[@inline] hash_byte key = (key lsr 32) * 2654435761 land 255
+
+  (* A class as one non-negative int: lid, then the saturated count (9
+     bits), then the hash byte (8 bits). *)
+  let[@inline] class_code ~lid ~cnt ~key =
+    (lid lsl 17) lor (saturate cnt lsl 8) lor hash_byte key
 
   let[@inline] clamp v =
     if v > w_clamp then w_clamp else if v < -.w_clamp then -.w_clamp else v
@@ -945,9 +951,9 @@ module Perceptron = struct
      (1, age 0, freq, level, file hash). *)
   let learn t g ~sign =
     let ghost = t.ghost and w = t.w in
-    let x2 = freq ghost.a.(g)
+    let x2 = freq_table.(saturate ghost.a.(g))
     and x3 = level_feature ghost.b.(g)
-    and x4 = file_hash ghost.key.(g) in
+    and x4 = file_hash_table.(hash_byte ghost.key.(g)) in
     w.(0) <- clamp (w.(0) +. (sign *. lr *. 1.0));
     w.(1) <- clamp (w.(1) +. (sign *. lr *. 0.0));
     w.(2) <- clamp (w.(2) +. (sign *. lr *. x2));
@@ -955,38 +961,108 @@ module Perceptron = struct
     w.(4) <- clamp (w.(4) +. (sign *. lr *. x4));
     t.updates <- t.updates + 1
 
-  let grow t =
-    let n = 2 * Array.length t.key in
-    let blocks = Array.make n dummy in
-    Array.blit t.blocks 0 blocks 0 t.n;
-    t.blocks <- blocks;
-    t.key <- widen t.key n;
-    t.cnt <- widen t.cnt n;
-    t.last <- widen t.last n;
-    t.level <- widen t.level n
+  (* The lid of a hint level, interned on first sight. Levels are few
+     (one per distinct hint value), and lids are never reused. *)
+  let intern t level =
+    match Hashtbl.find t.levels level with
+    | lid -> lid
+    | exception Not_found ->
+      let lid = Hashtbl.length t.levels in
+      Hashtbl.add t.levels level lid;
+      if lid = Array.length t.level_of then t.level_of <- widen t.level_of (2 * lid);
+      t.level_of.(lid) <- level;
+      lid
 
-  (* Swap-remove: the last resident slot fills the hole. *)
-  let release t s =
-    Itbl.remove t.index t.key.(s);
-    let l = t.n - 1 in
-    if s <> l then begin
-      t.blocks.(s) <- t.blocks.(l);
-      t.key.(s) <- t.key.(l);
-      t.cnt.(s) <- t.cnt.(l);
-      t.last.(s) <- t.last.(l);
-      t.level.(s) <- t.level.(l);
-      Itbl.set t.index t.key.(s) s
-    end;
-    t.blocks.(l) <- dummy;
-    t.n <- l
+  let grow_classes t =
+    let old = Array.length t.code in
+    let n = 2 * old in
+    t.code <- widen t.code n;
+    t.live <- widen t.live n;
+    t.live_at <- widen t.live_at n;
+    let members = t.members in
+    t.members <- Array.init n (fun c -> if c < old then members.(c) else Iheap.create 0);
+    t.spare <- widen t.spare n;
+    for i = 0 to old - 1 do
+      t.spare.(i) <- n - 1 - i
+    done;
+    t.nspare <- old
+
+  (* Put slot [s], whose Block.pack is [key], into its class, opening
+     the class if it has no members. *)
+  let join t s key =
+    let code = class_code ~lid:t.lid.(s) ~cnt:t.cnt.(s) ~key in
+    let c =
+      let c = Itbl.find t.classes code in
+      if c >= 0 then c
+      else begin
+        if t.nspare = 0 then grow_classes t;
+        t.nspare <- t.nspare - 1;
+        let c = t.spare.(t.nspare) in
+        t.code.(c) <- code;
+        Itbl.set t.classes code c;
+        t.live.(t.nlive) <- c;
+        t.live_at.(c) <- t.nlive;
+        t.nlive <- t.nlive + 1;
+        c
+      end
+    in
+    t.cls.(s) <- c;
+    Iheap.add t.keys t.members.(c) s ~hi:key ~lo:0
+
+  (* Take slot [s] out of its class, closing the class if it empties. *)
+  let leave t s =
+    let c = t.cls.(s) in
+    let members = t.members.(c) in
+    Iheap.remove t.keys members s;
+    if Iheap.is_empty members then begin
+      Itbl.remove t.classes t.code.(c);
+      let i = t.live_at.(c) and l = t.nlive - 1 in
+      let moved = t.live.(l) in
+      t.live.(i) <- moved;
+      t.live_at.(moved) <- i;
+      t.nlive <- l;
+      t.spare.(t.nspare) <- c;
+      t.nspare <- t.nspare + 1
+    end
+
+  (* Move slot [s] to the class its columns now name. *)
+  let reclass t s =
+    let key = t.keys.hi.(s) in
+    leave t s;
+    join t s key
+
+  let grow t =
+    let old = Array.length t.blocks in
+    let n = 2 * old in
+    let blocks = Array.make n dummy in
+    Array.blit t.blocks 0 blocks 0 old;
+    t.blocks <- blocks;
+    t.cnt <- widen t.cnt n;
+    t.lid <- widen t.lid n;
+    t.cls <- widen t.cls n;
+    Iheap.reserve t.keys n;
+    t.free <- widen t.free n;
+    for i = 0 to old - 1 do
+      t.free.(i) <- n - 1 - i
+    done;
+    t.nfree <- old
+
+  let release t s key =
+    leave t s;
+    Itbl.remove t.index key;
+    t.blocks.(s) <- dummy;
+    t.free.(t.nfree) <- s;
+    t.nfree <- t.nfree + 1
 
   let on_event t = function
-    | Reference { pos; block } ->
+    | Reference { block; _ } ->
       let s = Itbl.find t.index (Block.pack block) in
       if s < 0 then failwith "PERCEPTRON: reference to non-resident block";
-      t.cnt.(s) <- t.cnt.(s) + 1;
-      t.last.(s) <- pos
-    | Admit { pos; block } ->
+      let c = t.cnt.(s) in
+      t.cnt.(s) <- c + 1;
+      (* Counts from 256 on share one class. *)
+      if c < 256 then reclass t s
+    | Admit { block; _ } ->
       let key = Block.pack block in
       let g = Ghost.find t.ghost key in
       if g >= 0 then begin
@@ -996,62 +1072,69 @@ module Perceptron = struct
         Ghost.remove t.ghost g
       end;
       let s = Itbl.find t.index key in
-      let s =
-        if s >= 0 then s
-        else begin
-          if t.n = Array.length t.key then grow t;
-          let s = t.n in
-          t.n <- s + 1;
-          t.blocks.(s) <- block;
-          t.key.(s) <- key;
-          Itbl.set t.index key s;
-          s
-        end
-      in
-      t.cnt.(s) <- 1;
-      t.last.(s) <- pos;
-      t.level.(s) <- 0
+      if s >= 0 then begin
+        t.cnt.(s) <- 1;
+        t.lid.(s) <- 0;
+        reclass t s
+      end
+      else begin
+        if t.nfree = 0 then grow t;
+        t.nfree <- t.nfree - 1;
+        let s = t.free.(t.nfree) in
+        t.blocks.(s) <- block;
+        Itbl.set t.index key s;
+        t.cnt.(s) <- 1;
+        t.lid.(s) <- 0;
+        join t s key
+      end
     | Evict { block } ->
       let key = Block.pack block in
       let s = Itbl.find t.index key in
       if s >= 0 then begin
-        Ghost.push t.ghost key ~a:t.cnt.(s) ~b:t.level.(s);
+        Ghost.push t.ghost key ~a:t.cnt.(s) ~b:t.level_of.(t.lid.(s));
         while Ghost.over t.ghost do
           let g = Ghost.oldest t.ghost in
           (* Expired un-referenced: the eviction was right. *)
           learn t g ~sign:(-1.0);
           Ghost.remove t.ghost g
         done;
-        release t s
+        release t s key
       end
     | Invalidate { block } ->
-      let s = Itbl.find t.index (Block.pack block) in
-      if s >= 0 then release t s
+      let key = Block.pack block in
+      let s = Itbl.find t.index key in
+      if s >= 0 then release t s key
     | Hint { block; level } ->
       let s = Itbl.find t.index (Block.pack block) in
-      if s >= 0 then t.level.(s) <- level
+      if s >= 0 then begin
+        let lid = intern t level in
+        if lid <> t.lid.(s) then begin
+          t.lid.(s) <- lid;
+          reclass t s
+        end
+      end
 
   (* Lowest dot-product score loses, ties broken by the smaller block:
-     an explicit (score, block) minimum, so the scan order is
-     irrelevant. The dot product keeps the feature order of the weight
-     vector, so every score is bit-identical to a per-block feature
-     array's. *)
-  let victim t ~pos ~missing:_ =
-    if t.n = 0 then failwith "PERCEPTRON: empty";
-    let w = t.w in
-    let w0 = w.(0) and w1 = w.(1) and w2 = w.(2) and w3 = w.(3) and w4 = w.(4) in
-    let capf = float_of_int t.cap in
+     an explicit (score, block) minimum over the class tops, so the
+     order of [live] is irrelevant. The dot product keeps the feature
+     order of the weight vector, less the exact age term, so every
+     score is bit-identical to a per-block feature array's. *)
+  let victim t ~pos:_ ~missing:_ =
+    if t.nlive = 0 then failwith "PERCEPTRON: empty";
+    let w = t.w and key = t.keys.hi in
+    let w0 = w.(0) and w2 = w.(2) and w3 = w.(3) and w4 = w.(4) in
     let best = ref 0.0 and pick = ref (-1) in
-    for s = 0 to t.n - 1 do
-      let key = t.key.(s) in
-      let age = float_of_int (pos - t.last.(s)) /. capf in
+    for i = 0 to t.nlive - 1 do
+      let c = t.live.(i) in
+      let code = t.code.(c) in
+      let s = Iheap.top t.members.(c) in
       let v =
-        0.0 +. (w0 *. 1.0) +. (w1 *. age)
-        +. (w2 *. freq t.cnt.(s))
-        +. (w3 *. level_feature t.level.(s))
-        +. (w4 *. file_hash key)
+        0.0 +. (w0 *. 1.0)
+        +. (w2 *. freq_table.((code lsr 8) land 511))
+        +. (w3 *. level_feature t.level_of.(code lsr 17))
+        +. (w4 *. file_hash_table.(code land 255))
       in
-      if !pick < 0 || v < !best || (v = !best && key < t.key.(!pick)) then begin
+      if !pick < 0 || v < !best || (v = !best && key.(s) < key.(!pick)) then begin
         best := v;
         pick := s
       end
@@ -1065,7 +1148,7 @@ module Perceptron = struct
         [
           ("updates", float_of_int t.updates);
           ("ghost", float_of_int (Ghost.length t.ghost));
-          ("resident", float_of_int t.n);
+          ("resident", float_of_int (Itbl.length t.index));
         ];
       ]
 end

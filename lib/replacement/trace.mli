@@ -35,6 +35,17 @@ val hot_cold :
 val zipf : rng:Acfc_sim.Rng.t -> file:int -> blocks:int -> skew:float -> length:int -> t
 (** Zipf-distributed references with exponent [skew] > 0. *)
 
+val patterns : string list
+(** The names {!pattern} accepts, in the order [acfc-run policies]
+    documents them. *)
+
+val pattern : rng:Acfc_sim.Rng.t -> blocks:int -> string -> t
+(** The named synthetic trace of [acfc-run policies] over [blocks]
+    blocks: [cyclic] (five passes), [sequential] (one pass), and
+    [random], [hot-cold] (10% hot blocks in file 0 take 90% of the
+    references, the cold ones are in file 1) and [zipf] (skew 1.0),
+    each [5 * blocks] long. Raises [Failure] on an unknown name. *)
+
 val concat : t list -> t
 
 val interleave : rng:Acfc_sim.Rng.t -> t list -> t

@@ -73,6 +73,30 @@ let adaptive_arc () =
       result.Runner.overrules result.Runner.placeholders_created
       result.Runner.placeholders_used
 
+(* Byte-for-byte the output of `acfc-run policies -t PATTERN --capacity
+   C` for every synthetic pattern at two capacities (default blocks and
+   seed), concatenated: pins every core's miss count on five access
+   patterns, at a small cache and at the CLI's default one. *)
+let policies ~jobs () =
+  let module Trace = Acfc_replacement.Trace in
+  let module Policy_sim = Acfc_replacement.Policy_sim in
+  String.concat ""
+    (List.concat_map
+       (fun capacity ->
+         List.map
+           (fun pattern ->
+             let rng = Acfc_sim.Rng.create 0 in
+             let trace = Trace.pattern ~rng ~blocks:1200 pattern in
+             Format.asprintf "trace: %a@." Trace.pp_summary trace
+             ^ String.concat ""
+                 (List.map
+                    (fun r -> Format.asprintf "%a@." Policy_sim.pp_result r)
+                    (Acfc_par.Pool.map ~jobs
+                       (fun policy -> Policy_sim.run policy ~capacity trace)
+                       Acfc_policy.Registry.all)))
+           Trace.patterns)
+       [ 100; 819 ])
+
 let snapshots ~jobs =
   [
     ("fig5_cs3_ldk.txt", fig5 ~jobs);
@@ -81,4 +105,5 @@ let snapshots ~jobs =
     ("metrics_readn.json", fun () -> metrics ());
     ("fleet_small.txt", fleet ~jobs);
     ("adaptive_arc.txt", fun () -> adaptive_arc ());
+    ("policies.txt", policies ~jobs);
   ]

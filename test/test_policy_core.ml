@@ -203,25 +203,35 @@ let perceptron_finite_and_deterministic =
       let b = offline_replay (module P.Cores.Perceptron) ~capacity:cap trace in
       !ok && a.victims = b.victims)
 
-(* {2 Columnar adaptive cores vs their scan twins}
+(* {2 Cores vs their twins, event by event}
 
-   The AWRP and PERCEPTRON cores answer victim queries from columnar
-   state (AWRP from 16 frequency buckets, PERCEPTRON by a dense scan);
-   [Reference.Awrp_scan] / [Reference.Perceptron_scan] are the original
-   full-table scans. Both sides of a pair see the same random event
-   stream: references, misses, hints, invalidations, and evictions that
-   sometimes overrule the named victim, as a live kernel may. Block
-   alphabets are small and positions sometimes jump far ahead, so
-   equal ranks (float ties) are common. The two must name the same
-   victim at every miss and end with the same stats. *)
+   Every online core answers victim queries from indexed state — AWRP
+   from 16 frequency buckets, PERCEPTRON from per-class heaps, LRU-2
+   from an indexed heap, FIFO, CLOCK and 2Q from slab lists, RAND from
+   a swap-with-last array; the twins in [Reference] are naive scans and
+   lists. Both sides of a pair see the same random event stream:
+   references, misses, hints (to resident and non-resident blocks, at
+   negative and very large levels), invalidations, re-admits, bursts of
+   references that carry a block's count across 255 and 256, and
+   evictions that sometimes overrule the named victim, as a live kernel
+   may. Blocks come from five files, so PERCEPTRON's file-hash bytes
+   differ. Alphabets are small and positions sometimes jump far ahead,
+   so equal ranks (float ties) are common. The two must name the same
+   victim at every miss and, where the twin reports stats, end with the
+   same stats. *)
 
 let lockstep_gen =
   QCheck2.Gen.(
-    triple (int_range 1 8) (int_range 2 24)
+    triple (int_range 1 8) (int_range 2 40)
       (list_size (int_range 1 400)
          (triple (int_range 0 99) (int_range 0 99) (int_range 0 9))))
 
-let lockstep_core (module A : Pc.CORE) (module B : Pc.CORE) (cap, alphabet, steps) =
+(* Hint levels by the op's [y]: PERCEPTRON interns any int as a class
+   component, so the edges of the int range are in play. *)
+let levels = [| 0; 1; 3; -1; -8; 255; 1 lsl 40; max_int; min_int; 2 |]
+
+let lockstep_core ?(stats = true) (module A : Pc.CORE) (module B : Pc.CORE)
+    (cap, alphabet, steps) =
   let a = A.create ~capacity:cap ~future:[||] in
   let b = B.create ~capacity:cap ~future:[||] in
   let feed ev =
@@ -231,45 +241,56 @@ let lockstep_core (module A : Pc.CORE) (module B : Pc.CORE) (cap, alphabet, step
   let resident = ref [] and pos = ref 0 in
   let nth_resident i = List.nth !resident (i mod List.length !resident) in
   let drop block = resident := List.filter (fun x -> x <> block) !resident in
-  let block_of id = blk ~file:(id mod 3) (id / 3) in
+  let block_of id = blk ~file:(id mod 5) (id / 5) in
+  let demand ~x ~y block =
+    if List.mem block !resident then feed (Pc.Reference { pos = !pos; block })
+    else begin
+      if List.length !resident >= cap then begin
+        let va = A.victim a ~pos:!pos ~missing:block in
+        let vb = B.victim b ~pos:!pos ~missing:block in
+        if va <> vb then
+          QCheck2.Test.fail_reportf "%s named %a, %s named %a at pos %d" A.name
+            Core.Block.pp va B.name Core.Block.pp vb !pos;
+        (* Now and then the kernel overrules the named victim. *)
+        let out = if y = 0 then nth_resident x else va in
+        drop out;
+        feed (Pc.Evict { block = out })
+      end;
+      resident := block :: !resident;
+      feed (Pc.Admit { pos = !pos; block })
+    end;
+    incr pos
+  in
   List.iter
     (fun (op, x, y) ->
-      if op < 60 then begin
-        let block = block_of (x mod alphabet) in
-        if List.mem block !resident then feed (Pc.Reference { pos = !pos; block })
-        else begin
-          if List.length !resident >= cap then begin
-            let va = A.victim a ~pos:!pos ~missing:block in
-            let vb = B.victim b ~pos:!pos ~missing:block in
-            if va <> vb then
-              QCheck2.Test.fail_reportf "%s named %a, %s named %a at pos %d" A.name
-                Core.Block.pp va B.name Core.Block.pp vb !pos;
-            (* Now and then the kernel overrules the named victim. *)
-            let out = if y = 0 then nth_resident x else va in
-            drop out;
-            feed (Pc.Evict { block = out })
-          end;
-          resident := block :: !resident;
-          feed (Pc.Admit { pos = !pos; block })
-        end;
-        incr pos
-      end
-      else if op < 75 then begin
+      if op < 55 then demand ~x ~y (block_of (x mod alphabet))
+      else if op < 68 then begin
         if !resident <> [] then begin
           let block = nth_resident x in
           drop block;
-          feed (Pc.Invalidate { block })
+          feed (Pc.Invalidate { block });
+          (* Half the time the block is demanded straight back. *)
+          if y mod 2 = 0 then demand ~x ~y:1 block
+        end
+      end
+      else if op < 72 then begin
+        (* A burst of 250-259 references to one resident block. *)
+        if !resident <> [] then begin
+          let block = nth_resident x in
+          for _ = 1 to 250 + y do
+            demand ~x ~y:1 block
+          done
         end
       end
       else begin
-        feed (Pc.Hint { block = block_of (x mod alphabet); level = y });
+        feed (Pc.Hint { block = block_of (x mod alphabet); level = levels.(y) });
         (* Positions need only increase. A long jump makes recencies so
            small that blocks in one frequency bucket round to equal
            ranks. *)
         if y = 9 then pos := !pos + (1 lsl 32)
       end)
     steps;
-  if A.stats a <> B.stats b then
+  if stats && A.stats a <> B.stats b then
     QCheck2.Test.fail_reportf "%s and %s stats differ after the stream" A.name B.name;
   true
 
@@ -278,11 +299,63 @@ let awrp_matches_scan =
     (lockstep_core (module P.Cores.Awrp) (module Acfc_oracle.Reference.Awrp_scan))
 
 let perceptron_matches_scan =
-  qcheck ~count:1000 "PERCEPTRON dense scan names the scan twin's victims"
+  qcheck ~count:1000 "PERCEPTRON classes name the scan twin's victims"
     lockstep_gen
     (lockstep_core
        (module P.Cores.Perceptron)
        (module Acfc_oracle.Reference.Perceptron_scan))
+
+(* The stock online cores against their record twins. Only 2Q's twin
+   reports stats (its queue lengths); the others report none. *)
+let stock_match_twins =
+  let module R = Acfc_oracle.Reference in
+  List.map
+    (fun (label, core, twin, stats) ->
+      qcheck ~count:300
+        (Printf.sprintf "%s core names the record twin's victims" label)
+        lockstep_gen (lockstep_core ~stats core twin))
+    [
+      ("LRU-2", (module P.Cores.Lru_2 : Pc.CORE), (module R.Lru_2 : Pc.CORE), false);
+      ("FIFO", (module P.Cores.Fifo), (module R.Fifo), false);
+      ("CLOCK", (module P.Cores.Clock), (module R.Clock), false);
+      ("2Q", (module P.Cores.Two_q), (module R.Two_q), true);
+      ("RAND", (module P.Cores.Rand), (module R.Rand), false);
+    ]
+
+(* An invalidation is not a replacement decision, so it leaves no 2Q
+   ghost: a block admitted to A1in, invalidated and admitted again lands
+   in A1in, not the protected queue. With capacity 4 (kin = 1), after
+   X, Y and Z sit in A1in the victim is X, the oldest; had X been
+   promoted, A1in would hold Y and Z and the victim would be Y. *)
+let two_q_invalidate_no_ghost () =
+  let x = blk 1 and y = blk 2 and z = blk 3 in
+  let run (module C : Pc.CORE) =
+    let t = C.create ~capacity:4 ~future:[||] in
+    C.on_event t (Pc.Admit { pos = 0; block = x });
+    C.on_event t (Pc.Invalidate { block = x });
+    C.on_event t (Pc.Admit { pos = 1; block = x });
+    C.on_event t (Pc.Admit { pos = 2; block = y });
+    C.on_event t (Pc.Admit { pos = 3; block = z });
+    (C.victim t ~pos:4 ~missing:(blk 4), C.stats t)
+  in
+  let core_victim, core_stats = run (module P.Cores.Two_q) in
+  let twin_victim, twin_stats = run (module Acfc_oracle.Reference.Two_q) in
+  let expect = [ ("a1in", 3.0); ("am", 0.0); ("ghost", 0.0) ] in
+  chk_bool "core: X stays in A1in" true (core_stats = expect);
+  chk_bool "twin: X stays in A1in" true (twin_stats = expect);
+  check Alcotest.string "core victim" "f0[1]" (Fmt.str "%a" Core.Block.pp core_victim);
+  check Alcotest.string "twin victim" "f0[1]" (Fmt.str "%a" Core.Block.pp twin_victim)
+
+(* OPT consumes the future stream in order: an admit at a position that
+   is not the block's next one fails. *)
+let opt_position_mismatch () =
+  let trace = [| blk 0; blk 1; blk 0 |] in
+  let t = P.Cores.Opt.create ~capacity:2 ~future:trace in
+  P.Cores.Opt.on_event t (Pc.Admit { pos = 0; block = blk 0 });
+  Alcotest.check_raises "skipped position" (Failure "OPT: stream position mismatch")
+    (fun () -> P.Cores.Opt.on_event t (Pc.Reference { pos = 1; block = blk 0 }));
+  Alcotest.check_raises "wrong admit" (Failure "OPT: stream position mismatch")
+    (fun () -> P.Cores.Opt.on_event t (Pc.Admit { pos = 2; block = blk 1 }))
 
 (* {2 Live adapter odds and ends} *)
 
@@ -306,5 +379,8 @@ let suites =
         perceptron_finite_and_deterministic;
         awrp_matches_scan;
         perceptron_matches_scan;
-      ] );
+        case "2Q: invalidation leaves no ghost" two_q_invalidate_no_ghost;
+        case "OPT: stream position mismatch" opt_position_mismatch;
+      ]
+      @ stock_match_twins );
   ]
