@@ -29,7 +29,7 @@
                               (stock + adaptive) over every wirgen corpus
                               family, scored as miss-count regret vs OPT;
                               rows land in the JSON "tournament" section
-                              and --tournament-baseline gates them
+                              and --gates checks their regret ceilings
      main.exe wirgen          generated-corpus family: draw a corpus from
                               the default wirgen spec at --corpus-seed,
                               replay its combined demand stream through
@@ -46,12 +46,16 @@
      main.exe --json FILE     also write machine-readable results
                               (the acfc-bench/1 schema; CI uploads this
                               as the BENCH_results.json artifact)
-     main.exe --baseline FILE with perf: check ratio (indexed/naive
-                              speedup), abs (ops/sec floor) and alloc
-                              (minor words per op budget) gate rows
-                              against the committed baseline; exits
-                              non-zero on any violation and reports
-                              measured rows no gate covers
+     main.exe timeline        scan the store's stored reports for >30%
+                              ops/sec drops between consecutive runs;
+                              exits non-zero on any flagged row
+     main.exe --gates FILE    check the perf and tournament rows this
+                              invocation measured against the committed
+                              gate file (bench/gates.txt: ratio, abs,
+                              alloc and regret gates, see
+                              bench/gate/gate.mli); exits non-zero on any
+                              violation and reports measured rows no
+                              gate covers
 *)
 
 module Config = Acfc_core.Config
@@ -62,7 +66,10 @@ module Ilist = Acfc_core.Ilist
 module Pool = Acfc_par.Pool
 module Fleet = Acfc_fleet.Fleet
 module Scenario = Acfc_scenario.Scenario
-module Cache_ref = Acfc_core.Cache_ref
+module Cache_ref = Acfc_oracle.Cache_ref
+module Heap = Acfc_oracle.Heap
+module Sched_naive = Acfc_oracle.Sched_naive
+module Gate = Acfc_gate.Gate
 module Wir = Acfc_wir.Wir
 module Wirgen = Acfc_wirgen.Wirgen
 module Store = Acfc_store.Store
@@ -134,6 +141,29 @@ let stored_corpus spec ~seed ~count =
   | Ok (programs, _) -> programs
   | Error e -> failwith ("bench: " ^ e)
 
+(* A corpus as one multi-program demand stream: each program's
+   references, its files moved past the previous programs' so that file
+   ids stay disjoint. *)
+let combined_trace corpus streams =
+  let next_file = ref 0 in
+  Array.concat
+    (List.map2
+       (fun program stream ->
+         let offset = !next_file in
+         next_file := offset + Wir.file_count program;
+         Array.map
+           (fun b -> Block.make ~file:(offset + Block.file b) ~index:(Block.index b))
+           stream)
+       corpus streams)
+
+(* Each program's demand stream, fast-forwarded with the RNG its
+   workload fiber gets in [scenario]. Each member owns its private RNG,
+   so extraction parallelises over the pool. *)
+let scenario_streams ?jobs corpus scenario =
+  Pool.map ?jobs
+    (fun (program, rng) -> Wir.references ~rng program)
+    (List.combine corpus (Acfc_scenario.Scenario.workload_rngs scenario))
+
 (* {2 Micro-benchmarks} *)
 
 let cache_hit_test =
@@ -203,14 +233,14 @@ let ilist_test =
      Ilist.push_front store l 0)
 
 let heap_test =
-  let h = Acfc_sim.Heap.create ~leq:(fun (a : float) b -> a <= b) () in
+  let h = Heap.create ~leq:(fun (a : float) b -> a <= b) () in
   for i = 0 to 255 do
-    Acfc_sim.Heap.push h (float_of_int i)
+    Heap.push h (float_of_int i)
   done;
   Bechamel.Test.make ~name:"heap/push+pop"
     (Bechamel.Staged.stage @@ fun () ->
-     Acfc_sim.Heap.push h 128.0;
-     ignore (Acfc_sim.Heap.pop h))
+     Heap.push h 128.0;
+     ignore (Heap.pop h))
 
 let engine_event_test =
   Bechamel.Test.make ~name:"engine/delay-roundtrip"
@@ -322,7 +352,7 @@ let run_micro () =
    policy cores) is meant to improve. The *-naive rows run the
    reference implementations on the identical op sequence, so the
    indexed/naive ratio is a machine-independent speedup — that ratio is
-   what the --baseline gate checks. See docs/PERF.md. *)
+   what a `ratio` line of the gate file checks. See docs/PERF.md. *)
 
 module Sq = Acfc_disk.Sched_queue
 module Rt = Acfc_replacement.Trace
@@ -330,36 +360,7 @@ module Policy_sim = Acfc_replacement.Policy_sim
 module Cores = Acfc_policy.Cores
 module Reference = Acfc_oracle.Reference
 
-type perf_row = {
-  p_name : string;
-  ops_per_sec : float;
-  alloc_words_per_op : float;
-  p_ops : int;  (* total ops measured *)
-}
-
-(* Indexed benchmark vs its naive-reference twin: the ratio of their
-   ops/sec is the speedup the re-indexing buys, and what --baseline
-   gates on. *)
-let speedup_pairs =
-  [
-    ("disk-queue/fcfs", "disk-queue/fcfs-naive");
-    ("disk-queue/scan", "disk-queue/scan-naive");
-    ("policy-miss/fifo", "policy-miss/fifo-naive");
-    ("policy-miss/clock", "policy-miss/clock-naive");
-    ("policy-miss/2q", "policy-miss/2q-naive");
-    ("policy-miss/lru2", "policy-miss/lru2-naive");
-    ("policy-miss/opt", "policy-miss/opt-naive");
-    ("policy-miss/awrp", "policy-miss/awrp-naive");
-    ("policy-miss/perceptron", "policy-miss/perceptron-naive");
-    ("engine-events/steady", "engine-events/steady-naive");
-    ("engine-events/batch", "engine-events/batch-naive");
-    ("cache-churn", "cache-churn/ref");
-    (* Not an indexed/naive pair but a scaling pair: the same fleet on 4
-       domains vs 1. The ratio gate on it is the multi-core scaling
-       floor (meaningful on the >= 4-vCPU CI runners; a 1-core box
-       measures ~1x and must not run the ratio gate). *)
-    ("fleet-events/jobs4", "fleet-events/jobs1");
-  ]
+module Bench_report = Acfc_store.Bench_report
 
 (* Best wall time of three timed passes: scheduler and frequency
    jitter only ever slow a pass down, so the minimum is the least
@@ -383,13 +384,13 @@ let measure_perf ~name ~warmup ~iters ~batch f =
     if wall < !best_wall then best_wall := wall
   done;
   {
-    p_name = name;
+    Bench_report.name;
     (* Clamp the denominator: a pass fast enough to land inside the
        timer's resolution must not report an infinite (or
        divide-by-zero) rate, which would poison ratios and the JSON. *)
     ops_per_sec = fops /. Float.max !best_wall 1e-9;
     alloc_words_per_op = !words /. fops;
-    p_ops = ops;
+    ops;
   }
 
 (* One op = one dispatch (pick) plus one arrival (add) at a steady
@@ -427,11 +428,11 @@ let bench_disk_queues () =
           ~pick:(fun ~head -> Sq.pick q ~head)
       in
       let naive =
-        let q = Sq.Naive.create discipline in
+        let q = Sched_naive.create discipline in
         bench_disk_queue
           ~name:(Printf.sprintf "disk-queue/%s-naive" label)
-          ~add:(fun ~addr v -> Sq.Naive.add q ~addr v)
-          ~pick:(fun ~head -> Sq.Naive.pick q ~head)
+          ~add:(fun ~addr v -> Sched_naive.add q ~addr v)
+          ~pick:(fun ~head -> Sched_naive.pick q ~head)
       in
       [ indexed; naive ])
     [ ("fcfs", Sq.Fcfs); ("scan", Sq.Scan) ]
@@ -495,7 +496,7 @@ let bench_engine_events () =
    heap of boxed event records, and a [Suspend]-style delay that
    allocates a register closure, a one-shot resume closure and a
    blocked-table entry per sleep. Kept as the naive reference twin for
-   the engine-events/steady ratio row, the same way [Sq.Naive] anchors
+   the engine-events/steady ratio row, the same way [Sched_naive] anchors
    the disk-queue rows. *)
 module Naive_engine = struct
   type event = { time : float; seq : int; thunk : unit -> unit }
@@ -503,7 +504,7 @@ module Naive_engine = struct
   type t = {
     mutable clock : float;
     mutable seq : int;
-    events : event Acfc_sim.Heap.t;
+    events : event Heap.t;
     blocked : (int, string) Hashtbl.t;
     mutable next_id : int;
   }
@@ -516,14 +517,14 @@ module Naive_engine = struct
     {
       clock = 0.0;
       seq = 0;
-      events = Acfc_sim.Heap.create ~leq:event_leq ();
+      events = Heap.create ~leq:event_leq ();
       blocked = Hashtbl.create 16;
       next_id = 0;
     }
 
   let schedule t ~at thunk =
     t.seq <- t.seq + 1;
-    Acfc_sim.Heap.push t.events { time = at; seq = t.seq; thunk }
+    Heap.push t.events { time = at; seq = t.seq; thunk }
 
   let spawn t f =
     let id = t.next_id in
@@ -558,9 +559,9 @@ module Naive_engine = struct
   let run_until t horizon =
     let continue_ = ref true in
     while !continue_ do
-      match Acfc_sim.Heap.peek t.events with
+      match Heap.peek t.events with
       | Some ev when ev.time <= horizon ->
-        ignore (Acfc_sim.Heap.pop_exn t.events);
+        ignore (Heap.pop_exn t.events);
         t.clock <- ev.time;
         ev.thunk ()
       | _ -> continue_ := false
@@ -679,19 +680,7 @@ let bench_cache_churn_ref () =
    seed 1), so the row is comparable across runs. *)
 let bench_wir_corpus () =
   let corpus = stored_corpus Wirgen.default ~seed:1 ~count:4 in
-  let trace =
-    let next_file = ref 0 in
-    Array.concat
-      (List.map
-         (fun program ->
-           let offset = !next_file in
-           next_file := offset + Wir.file_count program;
-           Array.map
-             (fun b ->
-               Block.make ~file:(offset + Block.file b) ~index:(Block.index b))
-             (Wir.references program))
-         corpus)
-  in
+  let trace = combined_trace corpus (List.map (fun p -> Wir.references p) corpus) in
   let cache = Cache.create (Config.make ~capacity_blocks:1024 ()) in
   let n = Array.length trace in
   let pos = ref 0 in
@@ -789,10 +778,10 @@ let bench_fleet () =
       done;
       rows :=
         {
-          p_name = name;
+          Bench_report.name;
           ops_per_sec = float_of_int !events /. Float.max !best 1e-9;
           alloc_words_per_op = !words /. float_of_int (max !events 1);
-          p_ops = !events;
+          ops = !events;
         }
         :: !rows)
     fleet_jobs;
@@ -825,20 +814,9 @@ let run_perf () =
   in
   List.iter
     (fun r ->
-      Format.printf "  %-28s %12.0f ops/s   %8.1f w/op@." r.p_name r.ops_per_sec
-        r.alloc_words_per_op)
+      Format.printf "  %-28s %12.0f ops/s   %8.1f w/op@." r.Bench_report.name
+        r.ops_per_sec r.alloc_words_per_op)
     rows;
-  (* Print the indexed/naive speedups next to the raw rates. *)
-  let rate name =
-    List.find_map (fun r -> if r.p_name = name then Some r.ops_per_sec else None) rows
-  in
-  List.iter
-    (fun (fast, slow) ->
-      match (rate fast, rate slow) with
-      | Some f, Some s when s > 0.0 ->
-        Format.printf "  %-28s %12.2fx vs %s@." fast (f /. s) slow
-      | _ -> ())
-    speedup_pairs;
   rows
 
 (* {2 Equivalence replay (check)}
@@ -855,12 +833,12 @@ let check_disk_queues () =
     (fun (label, discipline) ->
       for round = 1 to 50 do
         let indexed = Sq.create discipline in
-        let naive = Sq.Naive.create discipline in
+        let naive = Sched_naive.create discipline in
         let next = ref 0 in
         for step = 1 to 400 do
           if Acfc_sim.Rng.bool rng && !next > 0 then begin
             let head = Acfc_sim.Rng.int rng 128 in
-            let a = Sq.pick indexed ~head and b = Sq.Naive.pick naive ~head in
+            let a = Sq.pick indexed ~head and b = Sched_naive.pick naive ~head in
             if a <> b then
               failwith
                 (Printf.sprintf
@@ -870,7 +848,7 @@ let check_disk_queues () =
           else begin
             let addr = Acfc_sim.Rng.int rng 128 in
             Sq.add indexed ~addr !next;
-            Sq.Naive.add naive ~addr !next;
+            Sched_naive.add naive ~addr !next;
             incr next
           end
         done
@@ -965,7 +943,7 @@ let check_policies () =
 
    The tentpole equivalence proof: the columnar cache (Ctab/Ilist/Itbl
    under Buf/Acm) and the retained record twin (Cache_ref) replay the
-   identical op sequence while {!Acfc_core.Lockstep} diffs results,
+   identical op sequence while {!Acfc_oracle.Lockstep} diffs results,
    event streams, stats, LRU and level orders, and invariants. Three
    sources: a trace recorded from a live workload run (real pids and
    prefetch flags), a wirgen-generated corpus, and a seeded storm that
@@ -973,7 +951,7 @@ let check_policies () =
    policies, temppri, choosers, sync, invalidation) under every
    allocation policy. *)
 
-module Lockstep = Acfc_core.Lockstep
+module Lockstep = Acfc_oracle.Lockstep
 
 let lockstep_report what = function
   | Ok n ->
@@ -1001,19 +979,7 @@ let lockstep_recorded () =
 
 let lockstep_wirgen () =
   let corpus = stored_corpus Wirgen.default ~seed:3 ~count:16 in
-  let next_file = ref 0 in
-  let trace =
-    Array.concat
-      (List.map
-         (fun program ->
-           let offset = !next_file in
-           next_file := offset + Wir.file_count program;
-           Array.map
-             (fun b ->
-               Block.make ~file:(offset + Block.file b) ~index:(Block.index b))
-             (Wir.references program))
-         corpus)
-  in
+  let trace = combined_trace corpus (List.map (fun p -> Wir.references p) corpus) in
   (* Capacity far below the corpus working set, so the replay churns
      through real evictions, not just cold misses. *)
   lockstep_report "wirgen-corpus"
@@ -1120,125 +1086,6 @@ let run_check () =
   check_fleet ();
   Format.printf "  check: all implementations agree@."
 
-(* {2 Baseline regression gate (--baseline)}
-
-   Three kinds of committed gate rows, one per line ('#' comments):
-
-     ratio <name> <speedup>    indexed/naive speedup at commit time; the
-                               gate fails below 70% of it. Machine-
-                               independent — the primary gate.
-     abs <name> <ops_per_sec>  absolute throughput floor; set far below
-                               dev-machine measurements so only a
-                               catastrophic slowdown (an accidental
-                               O(n) walk, a debug build) trips it.
-     alloc <name> <words>      minor-heap budget per op; allocation is
-                               deterministic and machine-independent,
-                               so this is exact — fails above budget.
-
-   A bare "<name> <speedup>" line is a legacy ratio row. The gate also
-   reports every measured row that no committed row covers, so new
-   benchmarks cannot silently fly ungated. *)
-
-type gate = Ratio of float | Abs of float | Alloc of float
-
-let read_baseline path =
-  let ic = open_in path in
-  Fun.protect ~finally:(fun () -> close_in ic) @@ fun () ->
-  let rows = ref [] in
-  (try
-     while true do
-       let line = String.trim (input_line ic) in
-       if line <> "" && line.[0] <> '#' then
-         match String.split_on_char ' ' line |> List.filter (( <> ) "") with
-         | [ "ratio"; name; v ] -> rows := (name, Ratio (float_of_string v)) :: !rows
-         | [ "abs"; name; v ] -> rows := (name, Abs (float_of_string v)) :: !rows
-         | [ "alloc"; name; v ] -> rows := (name, Alloc (float_of_string v)) :: !rows
-         | [ name; speedup ] -> rows := (name, Ratio (float_of_string speedup)) :: !rows
-         | _ -> failwith (Printf.sprintf "baseline: bad line %S" line)
-     done
-   with End_of_file -> ());
-  List.rev !rows
-
-(* Ratio rows whose pair compares worker counts, not implementations:
-   their measured value depends on the core count, so the gate only
-   applies on machines with at least 4 cores (the CI runners). The
-   indexed/naive ratios stay machine-independent and always gate. *)
-let scaling_rows = [ "fleet-events/jobs4" ]
-
-let check_baseline ~path perf_rows =
-  let find name = List.find_opt (fun r -> r.p_name = name) perf_rows in
-  let baseline = read_baseline path in
-  let failures = ref 0 in
-  let skip name = Format.printf "  baseline %-26s missing measurement, skipped@." name in
-  List.iter
-    (fun (name, gate) ->
-      match gate with
-      | Ratio _ when List.mem name scaling_rows && Pool.auto_jobs () < 4 ->
-        Format.printf
-          "  baseline %-26s scaling ratio needs >= 4 cores (have %d), skipped@."
-          name (Pool.auto_jobs ())
-      | Ratio expected -> (
-        match List.assoc_opt name speedup_pairs with
-        | None ->
-          incr failures;
-          Format.printf "  baseline %-26s ratio row has no naive-twin pair@." name
-        | Some slow -> (
-          match (find name, find slow) with
-          | Some f, Some s when s.ops_per_sec > 0.0 ->
-            let measured = f.ops_per_sec /. s.ops_per_sec in
-            let floor = 0.7 *. expected in
-            let ok = measured >= floor in
-            if not ok then incr failures;
-            Format.printf
-              "  baseline %-26s %10.2fx      ratio floor %8.2fx  %s@." name
-              measured floor
-              (if ok then "ok" else "REGRESSION")
-          | _ -> skip name))
-      | Abs floor -> (
-        match find name with
-        | Some r ->
-          let ok = r.ops_per_sec >= floor in
-          if not ok then incr failures;
-          Format.printf "  baseline %-26s %10.0f op/s   abs floor %9.0f  %s@." name
-            r.ops_per_sec floor
-            (if ok then "ok" else "REGRESSION")
-        | None -> skip name)
-      | Alloc budget -> (
-        match find name with
-        | Some r ->
-          let ok = r.alloc_words_per_op <= budget +. 1e-6 in
-          if not ok then incr failures;
-          Format.printf "  baseline %-26s %10.2f w/op   alloc budget %6.2f  %s@." name
-            r.alloc_words_per_op budget
-            (if ok then "ok" else "OVER BUDGET")
-        | None -> skip name))
-    baseline;
-  (* A naive twin is covered through its pair's ratio row; anything else
-     not named in the file is flying without a gate. *)
-  let gated name =
-    List.exists (fun (n, _) -> n = name) baseline
-    || List.exists
-         (fun (fast, slow) ->
-           slow = name && List.exists (fun (n, _) -> n = fast) baseline)
-         speedup_pairs
-  in
-  (match List.filter (fun r -> not (gated r.p_name)) perf_rows with
-  | [] -> ()
-  | ungated ->
-    let names = String.concat ", " (List.map (fun r -> r.p_name) ungated) in
-    Format.printf "  ungated rows (measured, no baseline entry): %s@." names;
-    (* Surface the same one-liner as a GitHub Actions annotation, so a
-       new benchmark flying without a gate shows up on the PR itself. *)
-    if Sys.getenv_opt "GITHUB_ACTIONS" = Some "true" then
-      Format.printf
-        "::warning title=ungated perf rows::measured but not gated by %s: %s@."
-        path names);
-  if !failures > 0 then begin
-    Format.printf "[baseline check FAILED: %d gate(s) violated]@." !failures;
-    exit 1
-  end
-  else Format.printf "[baseline check passed: %s]@." path
-
 (* {2 Generated-corpus artifact family (wirgen)}
 
    Benchmarks the simulator on synthetic workloads drawn from the
@@ -1276,28 +1123,10 @@ let run_wirgen ~quick ~corpus_seed ~jobs =
    with
   | Ok _ -> ()
   | Error e -> failwith ("bench: " ^ e));
-  (* Each program's demand stream, fast-forwarded with the same RNG its
-     workload fiber gets, then disjoint file ids so the concatenation
-     is one coherent multi-program trace. Each member owns its private
-     RNG, so extraction parallelises over the pool — this is what makes
-     wirgen honor --jobs / ACFC_JOBS. *)
-  let streams =
-    Pool.map ?jobs
-      (fun (program, rng) -> Wir.references ~rng program)
-      (List.combine corpus (Acfc_scenario.Scenario.workload_rngs scenario))
-  in
-  let trace =
-    let next_file = ref 0 in
-    Array.concat
-      (List.map2
-         (fun stream program ->
-           let offset = !next_file in
-           next_file := offset + Wir.file_count program;
-           Array.map
-             (fun b -> Block.make ~file:(offset + Block.file b) ~index:(Block.index b))
-             stream)
-         streams corpus)
-  in
+  (* Extraction on the pool is what makes wirgen honor --jobs /
+     ACFC_JOBS. *)
+  let streams = scenario_streams ?jobs corpus scenario in
+  let trace = combined_trace corpus streams in
   List.iter2
     (fun program stream ->
       Format.printf "  %-28s %s  %5d refs@." program.Wir.name (Wir.hash program)
@@ -1323,23 +1152,11 @@ let run_wirgen ~quick ~corpus_seed ~jobs =
    is a wirgen spec: the committed default ("mixed") plus one
    single-pattern variant per taxonomy entry. Traces are pure functions
    of (spec, --corpus-seed), so regret is deterministic and the
-   committed ceilings in bench/tournament_baseline.txt are exact.
-   Rows land in the JSON report's "tournament" section (acfc-bench/1);
-   --tournament-baseline gates them in CI. See docs/PERF.md. *)
+   committed regret ceilings in bench/gates.txt are exact. Rows land
+   in the JSON report's "tournament" section (acfc-bench/1); --gates
+   checks them in CI. See docs/PERF.md. *)
 
-type tournament_row = {
-  t_family : string;
-  t_policy : string;
-  t_seed : int;
-  t_spec_hash : string;
-  t_refs : int;
-  t_misses : int;
-  t_opt_misses : int;
-  t_regret : int;
-  t_hit_rate : float;
-}
-
-let tournament_rows : tournament_row list ref = ref []
+let tournament_rows : Bench_report.tournament list ref = ref []
 
 let tournament_families =
   ("mixed", Wirgen.default)
@@ -1355,22 +1172,8 @@ let tournament_families =
    disjoint file ids. *)
 let tournament_trace spec ~seed ~count =
   let corpus = stored_corpus spec ~seed ~count in
-  let scenario = Wirgen.scenario spec ~seed ~count in
-  let streams =
-    List.map
-      (fun (program, rng) -> Wir.references ~rng program)
-      (List.combine corpus (Acfc_scenario.Scenario.workload_rngs scenario))
-  in
-  let next_file = ref 0 in
-  Array.concat
-    (List.map2
-       (fun stream program ->
-         let offset = !next_file in
-         next_file := offset + Wir.file_count program;
-         Array.map
-           (fun b -> Block.make ~file:(offset + Block.file b) ~index:(Block.index b))
-           stream)
-       streams corpus)
+  combined_trace corpus
+    (scenario_streams ~jobs:1 corpus (Wirgen.scenario spec ~seed ~count))
 
 let run_tournament ~corpus_seed ~jobs =
   Format.printf "@.%s@." (String.make 74 '=');
@@ -1402,82 +1205,26 @@ let run_tournament ~corpus_seed ~jobs =
           (fun r ->
             let row =
               {
-                t_family = family;
-                t_policy = r.Policy_sim.policy;
-                t_seed = corpus_seed;
-                t_spec_hash = Wirgen.hash spec;
-                t_refs = r.Policy_sim.references;
-                t_misses = r.Policy_sim.misses;
-                t_opt_misses = opt_misses;
-                t_regret = r.Policy_sim.misses - opt_misses;
-                t_hit_rate =
+                Bench_report.family;
+                policy = r.Policy_sim.policy;
+                corpus_seed;
+                spec_hash = Wirgen.hash spec;
+                refs = r.Policy_sim.references;
+                misses = r.Policy_sim.misses;
+                opt_misses;
+                regret = r.Policy_sim.misses - opt_misses;
+                hit_rate =
                   float_of_int r.Policy_sim.hits
                   /. float_of_int (Stdlib.max r.Policy_sim.references 1);
               }
             in
-            Format.printf "    %-12s regret %5d   hit rate %5.1f%%@."
-              row.t_policy row.t_regret (100.0 *. row.t_hit_rate);
+            Format.printf "    %-12s regret %5d   hit rate %5.1f%%@." row.policy
+              row.regret (100.0 *. row.hit_rate);
             row)
           results)
       tournament_families
   in
   tournament_rows := !tournament_rows @ rows
-
-(* Gate file: one "<family> <policy> <max_regret>" line per row ('#'
-   comments). Regret is deterministic at the committed seed, so the
-   ceilings are exact measured values; any increase is a behaviour
-   change and fails. A ceiling with no measured row (renamed policy or
-   family) fails too, so the file cannot go stale silently. *)
-let read_tournament_baseline path =
-  let ic = open_in path in
-  Fun.protect ~finally:(fun () -> close_in ic) @@ fun () ->
-  let rows = ref [] in
-  (try
-     while true do
-       let line = String.trim (input_line ic) in
-       if line <> "" && line.[0] <> '#' then
-         match String.split_on_char ' ' line |> List.filter (( <> ) "") with
-         | [ family; policy; ceiling ] ->
-           rows := ((family, policy), int_of_string ceiling) :: !rows
-         | _ -> failwith (Printf.sprintf "tournament baseline: bad line %S" line)
-     done
-   with End_of_file -> ());
-  List.rev !rows
-
-let check_tournament_baseline ~path rows =
-  let baseline = read_tournament_baseline path in
-  let failures = ref 0 in
-  List.iter
-    (fun row ->
-      match List.assoc_opt (row.t_family, row.t_policy) baseline with
-      | None ->
-        Format.printf "  tournament %-16s %-12s regret %5d   (no ceiling)@."
-          row.t_family row.t_policy row.t_regret
-      | Some ceiling ->
-        let ok = row.t_regret <= ceiling in
-        if not ok then incr failures;
-        Format.printf "  tournament %-16s %-12s regret %5d   ceiling %5d  %s@."
-          row.t_family row.t_policy row.t_regret ceiling
-          (if ok then "ok" else "REGRESSION"))
-    rows;
-  List.iter
-    (fun ((family, policy), _) ->
-      if
-        not
-          (List.exists
-             (fun r -> r.t_family = family && r.t_policy = policy)
-             rows)
-      then begin
-        incr failures;
-        Format.printf "  tournament %-16s %-12s ceiling has no measured row@."
-          family policy
-      end)
-    baseline;
-  if !failures > 0 then begin
-    Format.printf "[tournament gate FAILED: %d violation(s)]@." !failures;
-    exit 1
-  end
-  else Format.printf "[tournament gate passed: %s]@." path
 
 (* {2 Machine-readable report (--json)} *)
 
@@ -1502,91 +1249,47 @@ let scenario_hash opts name =
   | [] -> None
   | grid -> Some (Acfc_scenario.Scenario.hash_list grid)
 
-(* The acfc-bench/1 schema: a stable shape CI can diff across runs.
-   NaN (no OLS estimate) becomes null, since JSON has no NaN. *)
+(* The acfc-bench/1 schema (Acfc_store.Bench_report): a stable shape CI
+   can diff across runs. *)
 let write_json ~path ~quick ~runs ~jobs ~opts ~artifacts ~micro ~perf ~total_wall_s =
-  let module J = Acfc_obs.Json in
-  let num v = if Float.is_finite v then J.Num v else J.Null in
-  let doc =
-    J.Obj
-      [
-        ("schema", J.Str "acfc-bench/1");
-        ("quick", J.Bool quick);
-        ("runs", J.Num (float_of_int runs));
-        ("jobs", J.Num (float_of_int jobs));
-        ( "artifacts",
-          J.List
-            (List.map
-               (fun (name, wall_s) ->
-                 (* wirgen rows carry the corpus fingerprint: the
-                    generated scenario's hash plus the (spec, seed)
-                    pair it is a pure function of. *)
-                 let hash, spec_hash, corpus_seed =
-                   match (name, !wirgen_fingerprint) with
-                   | "wirgen", Some (scenario_hash, seed) ->
-                     ( J.Str scenario_hash,
-                       J.Str (Wirgen.hash Wirgen.default),
-                       J.Num (float_of_int seed) )
-                   | _ ->
-                     ( (match scenario_hash opts name with
-                       | Some h -> J.Str h
-                       | None -> J.Null),
-                       J.Null,
-                       J.Null )
-                 in
-                 J.Obj
-                   [
-                     ("name", J.Str name);
-                     ("wall_s", num wall_s);
-                     ("scenario_hash", hash);
-                     ("spec_hash", spec_hash);
-                     ("corpus_seed", corpus_seed);
-                   ])
-               artifacts) );
-        ( "micro",
-          J.List
-            (List.map
-               (fun (name, ns_per_run, r2) ->
-                 J.Obj
-                   [
-                     ("name", J.Str name);
-                     ("ns_per_run", num ns_per_run);
-                     ("r2", num r2);
-                   ])
-               micro) );
-        ( "perf",
-          J.List
-            (List.map
-               (fun r ->
-                 J.Obj
-                   [
-                     ("name", J.Str r.p_name);
-                     ("ops_per_sec", num r.ops_per_sec);
-                     ("alloc_words_per_op", num r.alloc_words_per_op);
-                     ("ops", J.Num (float_of_int r.p_ops));
-                   ])
-               perf) );
-        ( "tournament",
-          J.List
-            (List.map
-               (fun r ->
-                 J.Obj
-                   [
-                     ("family", J.Str r.t_family);
-                     ("policy", J.Str r.t_policy);
-                     ("corpus_seed", J.Num (float_of_int r.t_seed));
-                     ("spec_hash", J.Str r.t_spec_hash);
-                     ("refs", J.Num (float_of_int r.t_refs));
-                     ("misses", J.Num (float_of_int r.t_misses));
-                     ("opt_misses", J.Num (float_of_int r.t_opt_misses));
-                     ("regret", J.Num (float_of_int r.t_regret));
-                     ("hit_rate", num r.t_hit_rate);
-                   ])
-               !tournament_rows) );
-        ("total_wall_s", num total_wall_s);
-      ]
+  let artifact (name, wall_s) =
+    (* wirgen rows carry the corpus fingerprint: the generated
+       scenario's hash plus the (spec, seed) pair it is a pure function
+       of. *)
+    match (name, !wirgen_fingerprint) with
+    | "wirgen", Some (hash, seed) ->
+      {
+        Bench_report.name;
+        wall_s;
+        scenario_hash = Some hash;
+        spec_hash = Some (Wirgen.hash Wirgen.default);
+        corpus_seed = Some seed;
+      }
+    | _ ->
+      {
+        name;
+        wall_s;
+        scenario_hash = scenario_hash opts name;
+        spec_hash = None;
+        corpus_seed = None;
+      }
   in
-  let contents = J.to_string doc ^ "\n" in
+  let report =
+    {
+      Bench_report.quick;
+      runs;
+      jobs;
+      artifacts = List.map artifact artifacts;
+      micro =
+        List.map
+          (fun (name, ns_per_run, r2) -> { Bench_report.name; ns_per_run; r2 })
+          micro;
+      perf;
+      tournament = !tournament_rows;
+      total_wall_s;
+    }
+  in
+  let contents = Acfc_obs.Json.to_string (Bench_report.to_json report) ^ "\n" in
   let oc = open_out path in
   Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc contents);
   (* Every emitted report is also ingested (exact file bytes, so
@@ -1606,11 +1309,10 @@ let write_json ~path ~quick ~runs ~jobs ~opts ~artifacts ~micro ~perf ~total_wal
 
    Scans the store's bench-report history and prints each perf row's
    ops/sec and words/op across stored runs, flagging >30% consecutive
-   ops/sec drops; [--gate] turns flagged rows into a nonzero exit.
+   ops/sec drops. Each flagged row is a failed check in the run's one
+   gate verdict, so the run exits non-zero.
    History only accumulates in a persistent store (--store/ACFC_STORE);
    an ephemeral run sees just the reports it ingested itself. *)
-
-let timeline_failures = ref 0
 
 let run_timeline () =
   Format.printf "@.%s@." (String.make 74 '=');
@@ -1619,12 +1321,14 @@ let run_timeline () =
   | Error e -> failwith ("bench: " ^ e)
   | Ok rows ->
     Acfc_store.Timeline.render Format.std_formatter rows;
-    let flagged = Acfc_store.Timeline.regressions rows in
-    timeline_failures := List.length flagged;
-    if flagged <> [] then
-      Format.printf "[timeline: %d row(s) regressed >%.0f%%]@."
-        (List.length flagged)
-        (Acfc_store.Timeline.default_threshold *. 100.0)
+    List.map
+      (fun (row, drop, seq) ->
+        {
+          Gate.subject = "timeline/" ^ row.Acfc_store.Timeline.name;
+          detail = Printf.sprintf "%.0f%% ops/s drop at run %d" (drop *. 100.0) seq;
+          status = Gate.Fail;
+        })
+      (Acfc_store.Timeline.regressions rows)
 
 (* {2 Sequential vs parallel (fig5-par)} *)
 
@@ -1659,10 +1363,8 @@ let () =
   let runs = ref 3 in
   let jobs = ref None in
   let json_out = ref None in
-  let baseline = ref None in
-  let tournament_baseline = ref None in
+  let gates = ref None in
   let corpus_seed = ref 0 in
-  let gate = ref false in
   let selected = ref [] in
   let spec =
     [
@@ -1671,9 +1373,6 @@ let () =
         Arg.String (fun d -> store_dir := Some d),
         "DIR persistent content-addressed artifact store (default ACFC_STORE, \
          else an ephemeral per-run store)" );
-      ( "--gate",
-        Arg.Set gate,
-        "with timeline: exit non-zero on any row with a >30% ops/sec drop" );
       ("--runs", Arg.Set_int runs, "N cold-start runs per data point (default 3)");
       ( "--corpus-seed",
         Arg.Set_int corpus_seed,
@@ -1685,18 +1384,15 @@ let () =
       ( "--json",
         Arg.String (fun f -> json_out := Some f),
         "FILE write machine-readable results (acfc-bench/1 schema)" );
-      ( "--baseline",
-        Arg.String (fun f -> baseline := Some f),
-        "FILE with perf: fail on a >30% speedup regression vs this baseline" );
-      ( "--tournament-baseline",
-        Arg.String (fun f -> tournament_baseline := Some f),
-        "FILE with tournament: fail on any policy whose regret vs OPT exceeds \
-         the committed per-family ceiling" );
+      ( "--gates",
+        Arg.String (fun f -> gates := Some f),
+        "FILE check the perf and tournament rows this run measured against the \
+         gate file (ratio, abs, alloc and regret lines)" );
     ]
   in
   let usage =
-    "main.exe [--quick] [--runs N] [--jobs N] [--json FILE] [--baseline FILE] \
-     [--tournament-baseline FILE] [--corpus-seed N] [--store DIR] [--gate] \
+    "main.exe [--quick] [--runs N] [--jobs N] [--json FILE] [--gates FILE] \
+     [--corpus-seed N] [--store DIR] \
      [all|micro|perf|check|wirgen|tournament|timeline|ablations|criteria|fig5-par|fig4|fig5|fig6|table1..table6]*"
   in
   Arg.parse spec (fun a -> selected := a :: !selected) usage;
@@ -1710,6 +1406,7 @@ let () =
   let micro_rows = ref [] in
   let perf_rows = ref [] in
   let artifact_walls = ref [] in
+  let drops = ref [] in
   List.iter
     (fun artifact ->
       let t = Unix.gettimeofday () in
@@ -1721,7 +1418,7 @@ let () =
         run_wirgen ~quick:!quick ~corpus_seed:!corpus_seed ~jobs:opts.Report.jobs
       | "tournament" ->
         run_tournament ~corpus_seed:!corpus_seed ~jobs:opts.Report.jobs
-      | "timeline" -> run_timeline ()
+      | "timeline" -> drops := !drops @ run_timeline ()
       | "ablations" ->
         Format.printf "@.%s@.@." (String.make 74 '=');
         Ablations.print_all ?jobs:opts.Report.jobs ~runs:opts.Report.runs
@@ -1758,25 +1455,38 @@ let () =
       ~artifacts:(List.rev !artifact_walls) ~micro:!micro_rows ~perf:!perf_rows
       ~total_wall_s);
   (* The gates run last so the JSON artifact is written even on failure. *)
-  (match !tournament_baseline with
-  | None -> ()
-  | Some path ->
-    if !tournament_rows = [] then begin
-      Format.printf
-        "[--tournament-baseline requires the tournament family to have run]@.";
-      exit 2
-    end;
-    check_tournament_baseline ~path !tournament_rows);
-  (match !baseline with
-  | None -> ()
-  | Some path ->
-    if !perf_rows = [] then begin
-      Format.printf "[--baseline requires the perf family to have run]@.";
-      exit 2
-    end;
-    check_baseline ~path !perf_rows);
-  if !gate && !timeline_failures > 0 then begin
-    Format.printf "[timeline gate FAILED: %d row(s) regressed]@."
-      !timeline_failures;
-    exit 1
+  let gated =
+    match !gates with
+    | None -> { Gate.checks = []; ungated = [] }
+    | Some path ->
+      let gates = match Gate.read path with Ok g -> g | Error e -> failwith e in
+      let families = List.filter (fun f -> List.mem f selected) [ "perf"; "tournament" ] in
+      if families = [] then begin
+        Format.printf "[--gates requires the perf or tournament family to have run]@.";
+        exit 2
+      end;
+      let rows =
+        List.map
+          (fun (r : Bench_report.perf) ->
+            {
+              Gate.name = r.name;
+              measure =
+                Rate { ops_per_sec = r.ops_per_sec; words_per_op = r.alloc_words_per_op };
+            })
+          !perf_rows
+        @ List.map
+            (fun (r : Bench_report.tournament) ->
+              {
+                Gate.name = Printf.sprintf "tournament/%s/%s" r.family r.policy;
+                measure = Regret r.regret;
+              })
+            !tournament_rows
+      in
+      Gate.evaluate ~cores:(Pool.auto_jobs ()) ~families gates rows
+  in
+  let verdict = { gated with checks = gated.checks @ !drops } in
+  if verdict.checks <> [] || verdict.ungated <> [] then begin
+    Format.printf "@.Gates:@.";
+    let annotate = Sys.getenv_opt "GITHUB_ACTIONS" = Some "true" in
+    if not (Gate.conclude ~annotate Format.std_formatter verdict) then exit 1
   end

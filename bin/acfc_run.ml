@@ -216,11 +216,7 @@ let wire_monitor scenario obs = function
       | Some _ -> obs
       | None -> Some (Obs.Sink.create ~backend:Obs.Sink.Null ())
     in
-    let producer =
-      Obs.Monitor.producer ~path
-        ~info:[ ("scenario", Obs.Json.Str (Scenario.hash scenario)) ]
-        ()
-    in
+    let producer = Obs.Monitor.producer ~path ~scenario:(Scenario.hash scenario) () in
     Format.eprintf "monitor: streaming snapshots -> %s@." path;
     (obs, Some (producer, every))
 
@@ -782,8 +778,16 @@ let pattern =
   Arg.(value & opt string "cyclic" & info [ "t"; "trace" ] ~docv:"PATTERN" ~doc)
 
 let blocks =
-  let doc = "Working-set size in blocks." in
-  Arg.(value & opt int 1200 & info [ "blocks" ] ~docv:"N" ~doc)
+  let doc = "Working-set size in blocks (at least 1)." in
+  let positive =
+    let parse s =
+      match int_of_string_opt s with
+      | Some n when n >= 1 -> Ok n
+      | _ -> Error (`Msg (Printf.sprintf "invalid value '%s', expected an integer >= 1" s))
+    in
+    Arg.conv (parse, Format.pp_print_int)
+  in
+  Arg.(value & opt positive 1200 & info [ "blocks" ] ~docv:"N" ~doc)
 
 let trace_file =
   let doc = "Replay a recorded trace file instead of a synthetic pattern." in

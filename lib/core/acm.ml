@@ -2,8 +2,9 @@
    {!Ctab} columns, managers live in a pid-indexed array, and the
    per-access notifications ([new_block] / [block_accessed] /
    [block_gone]) touch only int columns on the steady-state path. The
-   record-based predecessor survives verbatim as {!Acm_ref} and the
-   lockstep replay in [Lockstep] / `bench check` proves the two
+   record-based predecessor survives verbatim as [Acfc_oracle.Acm_ref]
+   and the lockstep replay in [Acfc_oracle.Lockstep] / `bench check`
+   proves the two
    trace-identical.
 
    Order-sensitive state keeps its exact predecessor representation:

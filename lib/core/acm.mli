@@ -10,8 +10,9 @@
     Blocks are named by their {!Ctab} slot: the level lists are
     intrusive {!Ilist}s over the shared table's link columns and the
     per-access notifications below are int-only on the steady-state
-    path. The record-based predecessor is retained as {!Acm_ref} and
-    proven trace-identical by lockstep replay ({!Lockstep},
+    path. The record-based predecessor is retained as
+    [Acfc_oracle.Acm_ref] (test- and bench-only) and proven
+    trace-identical by lockstep replay ([Acfc_oracle.Lockstep],
     `bench check`).
 
     BUF notifies ACM through {!new_block}, {!block_gone},

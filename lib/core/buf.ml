@@ -6,8 +6,9 @@
    [Block.t] handed to the backend on eviction; trace events are only
    constructed when a tracer or obs sink is installed.
 
-   The record-based predecessor survives verbatim as {!Buf_ref}; the
-   lockstep replay in {!Lockstep} / `bench check` proves the two emit
+   The record-based predecessor survives verbatim as
+   [Acfc_oracle.Buf_ref] (a test- and bench-only library); the lockstep
+   replay in [Acfc_oracle.Lockstep] / `bench check` proves the two emit
    identical event streams, stats and list orders on recorded traces
    and generated corpora. *)
 

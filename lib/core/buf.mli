@@ -25,8 +25,8 @@
     intrusive {!Ilist} over the shared {!Ctab} columns, and the
     steady-state hit/miss paths are allocation-free (trace events are
     built only when a tracer or obs sink is installed). The record
-    predecessor is retained as {!Buf_ref} and held trace-identical by
-    lockstep replay. *)
+    predecessor is retained as [Acfc_oracle.Buf_ref] (test- and
+    bench-only) and held trace-identical by lockstep replay. *)
 
 type t
 

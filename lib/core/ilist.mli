@@ -1,6 +1,6 @@
 (** Intrusive doubly-linked lists over shared int-array link columns.
 
-    The columnar counterpart of {!Dll}: elements are integer slots, the
+    The columnar counterpart of [Acfc_oracle.Dll]: elements are integer slots, the
     prev/next pointers live in a shared {!store} (two parallel int
     columns, typically owned by a {!Ctab}), and a list handle is three
     ints. Linking, unlinking and moving are O(1) and allocation-free.
@@ -11,7 +11,7 @@
     A slot may belong to at most one list per store at a time; callers
     track membership themselves (e.g. with a flag column). Operations on
     slots that are not in the given list silently corrupt it — the
-    random-op property tests against {!Dll} in [test/test_ctab.ml] and
+    random-op property tests against [Acfc_oracle.Dll] in [test/test_ctab.ml] and
     the structure walks in [check_invariants] are the safety net. *)
 
 val nil : int

@@ -1,5 +1,5 @@
 (* Open-addressing int -> int hash table, the columnar replacement for
-   [(Block.t, Entry.t) Hashtbl] on the cache hot path.
+   [(Block.t, Acfc_oracle.Entry.t) Hashtbl] of the record twin.
 
    Keys are non-negative ints (packed block ids from [Block.pack]);
    values are non-negative ints (table slots). Linear probing over a

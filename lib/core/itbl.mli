@@ -1,6 +1,6 @@
 (** Open-addressing int -> int hash table for the cache hot path.
 
-    Replaces [(Block.t, Entry.t) Hashtbl] on the columnar core: keys
+    Replaces the record twin's [(Block.t, Acfc_oracle.Entry.t) Hashtbl]: keys
     are non-negative ints (packed block ids, see {!Block.pack}), values
     are non-negative ints (table slots). Linear probing with
     tombstones over a power-of-two array; {!find} is allocation-free.

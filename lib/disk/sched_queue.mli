@@ -33,19 +33,3 @@ val pick : 'a t -> head:int -> 'a option
 (** Remove and return the waiter the drive serves next, given the head
     parked at block [head]; [None] iff the queue is empty. May reverse
     the sweep direction (SCAN). O(1) for FCFS, O(log n) for SCAN. *)
-
-(** The original unsorted-list picker, kept verbatim as the reference
-    for equivalence tests and the bench [check] replay. O(n) per pick. *)
-module Naive : sig
-  type 'a t
-
-  val create : discipline -> 'a t
-
-  val length : 'a t -> int
-
-  val sweep_up : 'a t -> bool
-
-  val add : 'a t -> addr:int -> 'a -> unit
-
-  val pick : 'a t -> head:int -> 'a option
-end

@@ -214,26 +214,9 @@ let rec equal a b =
     && List.for_all2 (fun (na, va) (nb, vb) -> String.equal na nb && equal va vb) a b
   | (Null | Bool _ | Num _ | Str _ | List _ | Obj _), _ -> false
 
-let member name = function
-  | Obj members -> List.assoc_opt name members
-  | Null | Bool _ | Num _ | Str _ | List _ -> None
-
-let to_num = function Num x -> Some x | _ -> None
-
 (* [min_int] is -2^62, exact as a float; every integral float in
    [-2^62, 2^62) converts without wrapping. *)
 let int_bound = -.Float.of_int min_int
-
-let to_int = function
-  | Num x when Float.is_integer x && x >= -.int_bound && x < int_bound ->
-    Some (int_of_float x)
-  | _ -> None
-
-let to_str = function Str s -> Some s | _ -> None
-
-let to_bool = function Bool b -> Some b | _ -> None
-
-let to_list = function List items -> Some items | _ -> None
 
 (* {2 Files} *)
 
@@ -277,8 +260,10 @@ module Decode = struct
 
   let fail path msg = Error (path, msg)
 
-  let int ~path v =
-    match to_int v with Some n -> Ok n | None -> fail path "expected an integer"
+  let int ~path = function
+    | Num x when Float.is_integer x && x >= -.int_bound && x < int_bound ->
+      Ok (int_of_float x)
+    | _ -> fail path "expected an integer"
 
   let num ~path = function Num x -> Ok x | _ -> fail path "expected a number"
 
@@ -296,6 +281,10 @@ module Decode = struct
       in
       go 0 [] items
     | _ -> fail path ("expected " ^ what)
+
+  let nullable d ~path = function
+    | Null -> Ok None
+    | j -> Result.map Option.some (d ~path j)
 
   let conv f d ~path j =
     let* v = d ~path j in
@@ -327,6 +316,16 @@ module Decode = struct
   let path o = o.path
 
   let at o name = o.path ^ "." ^ name
+
+  let assoc ?what d =
+    obj ?what (fun o ->
+        let rec go acc = function
+          | [] -> Ok (List.rev acc)
+          | (k, v) :: rest ->
+            let* x = d ~path:(at o k) v in
+            go ((k, x) :: acc) rest
+        in
+        go [] o.members)
 
   let mem o name = List.mem_assoc name o.members
 

@@ -28,24 +28,6 @@ val equal : t -> t -> bool
 (** Structural equality; object member {e order} is significant (this
     library always emits in a fixed order). *)
 
-(** {2 Accessors} *)
-
-val member : string -> t -> t option
-(** [member name (Obj _)] looks up a field; [None] on anything else. *)
-
-val to_num : t -> float option
-
-val to_int : t -> int option
-(** [Num] fields that hold an exact OCaml [int]: integral and inside
-    [[min_int, max_int]]. [1e19] and [1e300] are [None], not a wrapped
-    or truncated value. *)
-
-val to_str : t -> string option
-
-val to_bool : t -> bool option
-
-val to_list : t -> t list option
-
 (** {2 Files} *)
 
 val read_file : string -> (string, string) result
@@ -61,13 +43,14 @@ val write_file : string -> string -> unit
 (** {2 Strict decoding}
 
     The one decoder behind every versioned input format (scenario,
-    workload IR, wirgen spec, store manifest). A decoder reads the value
+    workload IR, wirgen spec, store manifest, trace record, monitor feed,
+    bench report). A decoder reads the value
     found at a [$.path] and fails with a [(path, message)] pair; the
     codec stamps its label on once, at its boundary
     ({!Decode.label}), giving ["wir: unknown field \"cnt\" at $.ops[1]"].
 
     Strictness is uniform: record objects reject unknown and repeated
-    fields, and integers must be exact OCaml [int]s ({!to_int}). *)
+    fields, and integers must be exact OCaml [int]s ({!int}). *)
 module Decode : sig
   type json := t
 
@@ -83,7 +66,9 @@ module Decode : sig
   (** {3 Scalars and lists} *)
 
   val int : int t
-  (** An exact OCaml [int]; otherwise ["expected an integer"]. *)
+  (** An exact OCaml [int]: integral and inside [[min_int, max_int]]
+      ([1e19] and [1e300] fail rather than wrap); otherwise
+      ["expected an integer"]. *)
 
   val num : float t
 
@@ -94,6 +79,9 @@ module Decode : sig
   val list : ?what:string -> 'a t -> 'a list t
   (** Decode every element at [path[i]]. A non-list fails with
       ["expected " ^ what] ([what] defaults to ["a list"]). *)
+
+  val nullable : 'a t -> 'a option t
+  (** [null] is [None]; any other value is decoded. *)
 
   val conv : ('a -> ('b, string) result) -> 'a t -> 'b t
   (** Decode, then check or convert the value; an [Error msg] is
@@ -110,6 +98,10 @@ module Decode : sig
       ([what] defaults to ["an object"]). Unknown fields are not checked
       yet: use {!known} once the object's shape is known (e.g. after
       reading a tag field), or {!record}. *)
+
+  val assoc : ?what:string -> 'a t -> (string * 'a) list t
+  (** An object read as a map (metric name to value, say): any keys, none
+      repeated, each value decoded at [path.key], in document order. *)
 
   val known : obj -> string list -> (unit, error) result
   (** Fail with ["unknown field \"k\""] on the first member not named. *)

@@ -9,51 +9,94 @@ let write_line p j =
   output_char p.oc '\n';
   flush p.oc
 
-let producer ~path ?(info = []) () =
+let start_record scenario =
+  Json.Obj
+    ([ ("schema", Json.Str schema); ("type", Json.Str "start") ]
+    @ Option.fold ~none:[] ~some:(fun s -> [ ("scenario", Json.Str s) ]) scenario)
+
+let snapshot_record metrics ~now =
+  Json.Obj [ ("type", Json.Str "snapshot"); ("metrics", Metrics.snapshot metrics ~now) ]
+
+let end_record ~now = Json.Obj [ ("type", Json.Str "end"); ("now", Json.Num now) ]
+
+let records ?scenario metrics ~now =
+  [ start_record scenario; snapshot_record metrics ~now; end_record ~now ]
+
+let producer ~path ?scenario () =
   let oc = open_out_bin path in
   let p = { oc; closed = false } in
-  write_line p (Json.Obj ([ ("schema", Json.Str schema); ("type", Json.Str "start") ] @ info));
+  write_line p (start_record scenario);
   p
 
 let sample p ~metrics ~now =
-  if not p.closed then
-    write_line p
-      (Json.Obj
-         [ ("type", Json.Str "snapshot"); ("metrics", Metrics.snapshot metrics ~now) ])
+  if not p.closed then write_line p (snapshot_record metrics ~now)
 
 let finish p ~now =
   if not p.closed then begin
-    write_line p (Json.Obj [ ("type", Json.Str "end"); ("now", Json.Num now) ]);
+    write_line p (end_record ~now);
     p.closed <- true;
     close_out p.oc
   end
 
 (* Consuming *)
 
-type event =
-  | Start of Json.t
-  | Snapshot of Json.t
-  | End of Json.t
+type snapshot = { now : float; gauges : (string * float) list }
 
-let parse_line line =
-  match Json.of_string line with
-  | Error e -> Error ("monitor: invalid JSON record: " ^ e)
-  | Ok j ->
-    (match Option.bind (Json.member "type" j) Json.to_str with
-    | Some "start" ->
-      (match Option.bind (Json.member "schema" j) Json.to_str with
-      | Some s when s = schema -> Ok (Start j)
-      | Some s ->
-        Error
-          (Printf.sprintf "monitor: unsupported schema %S (expected %s)" s schema)
-      | None -> Error "monitor: start record without a schema")
-    | Some "snapshot" ->
-      (match Json.member "metrics" j with
-      | Some m -> Ok (Snapshot m)
-      | None -> Error "monitor: snapshot record without metrics")
-    | Some "end" -> Ok (End j)
-    | Some s -> Error (Printf.sprintf "monitor: unknown record type %S" s)
-    | None -> Error "monitor: record without a type")
+type event =
+  | Start of { scenario : string option }
+  | Snapshot of snapshot
+  | End of { now : float }
+
+let version = schema
+
+let decode_event =
+  let open Json.Decode in
+  let ( let* ) = Result.bind in
+  let nums o names =
+    List.fold_left
+      (fun acc k -> Result.bind acc (fun () -> Result.map ignore (req o k num)))
+      (Ok ()) names
+  in
+  let histogram =
+    let bucket =
+      record [ "le"; "n" ] (fun b ->
+          let* () = nums b [ "le" ] in
+          req b "n" int)
+    in
+    record [ "count"; "sum"; "min"; "max"; "mean"; "buckets" ] (fun o ->
+        let* () = nums o [ "sum"; "min"; "max"; "mean" ] in
+        let* _ = req o "buckets" (list bucket) in
+        Result.map ignore (req o "count" int))
+  in
+  (* Counters and histograms are checked, not kept: the renderer reads
+     the clock and the gauges. *)
+  let snapshot =
+    record [ "now"; "counters"; "gauges"; "histograms" ] (fun o ->
+        let* now = req o "now" num in
+        let* _ = default o "counters" (assoc int) [] in
+        let* gauges = default o "gauges" (assoc num) [] in
+        let* _ = default o "histograms" (assoc histogram) [] in
+        Ok { now; gauges })
+  in
+  obj (fun o ->
+      match opt o "type" str with
+      | Error _ as e -> e
+      | Ok None -> fail (path o) "record without a type"
+      | Ok (Some "start") ->
+        let* () = known o [ "schema"; "type"; "scenario" ] in
+        let* () = schema o version in
+        let* scenario = opt o "scenario" str in
+        Ok (Start { scenario })
+      | Ok (Some "snapshot") ->
+        let* () = known o [ "type"; "metrics" ] in
+        if not (mem o "metrics") then fail (path o) "snapshot record without metrics"
+        else Result.map (fun s -> Snapshot s) (req o "metrics" snapshot)
+      | Ok (Some "end") ->
+        let* () = known o [ "type"; "now" ] in
+        Result.map (fun now -> End { now }) (req o "now" num)
+      | Ok (Some t) -> fail (at o "type") (Printf.sprintf "unknown record type %S" t))
+
+let parse_line = Json.Decode.of_string ~label:"monitor" decode_event
 
 let follow ~path ?(poll_s = 0.02) ?(timeout_s = 10.0) ~on_event () =
   let start = Unix.gettimeofday () in
@@ -130,14 +173,6 @@ type renderer = {
 
 let renderer () = { prev_ratio = None; snapshots = 0 }
 
-let gauges_of snapshot =
-  match Json.member "gauges" snapshot with
-  | Some (Json.Obj members) ->
-    List.filter_map
-      (fun (name, v) -> Option.map (fun x -> (name, x)) (Json.to_num v))
-      members
-  | _ -> []
-
 (* ["fleet.client.hits{client=3}"] -> [Some ("fleet.client.hits", "3")] *)
 let client_gauge name =
   match String.index_opt name '{' with
@@ -152,21 +187,14 @@ let client_gauge name =
 let find gauges name = List.assoc_opt name gauges
 
 let render r ppf = function
-  | Start j ->
-    let extra =
-      match Option.bind (Json.member "scenario" j) Json.to_str with
-      | Some s -> Printf.sprintf " scenario %s" s
-      | None -> ""
-    in
+  | Start { scenario } ->
+    let extra = Option.fold ~none:"" ~some:(Printf.sprintf " scenario %s") scenario in
     Format.fprintf ppf "monitor: stream started%s@." extra
-  | End j ->
-    let now = Option.value ~default:0.0 (Option.bind (Json.member "now" j) Json.to_num) in
+  | End { now } ->
     Format.fprintf ppf "monitor: run complete at t=%.3fs (%d snapshots)@." now
       r.snapshots
-  | Snapshot s ->
+  | Snapshot { now; gauges; _ } ->
     r.snapshots <- r.snapshots + 1;
-    let now = Option.value ~default:0.0 (Option.bind (Json.member "now" s) Json.to_num) in
-    let gauges = gauges_of s in
     (match (find gauges "cache.hits", find gauges "cache.misses") with
     | Some hits, Some misses ->
       let total = hits +. misses in

@@ -23,9 +23,9 @@ val schema : string
 
 type producer
 
-val producer : path:string -> ?info:(string * Json.t) list -> unit -> producer
-(** Truncate/create [path] and write the [start] record ([?info]
-    members are embedded in it). *)
+val producer : path:string -> ?scenario:string -> unit -> producer
+(** Truncate/create [path] and write the [start] record, naming the
+    scenario's hash when given. *)
 
 val sample : producer -> metrics:Metrics.t -> now:float -> unit
 (** Append one [snapshot] record and flush. *)
@@ -33,14 +33,26 @@ val sample : producer -> metrics:Metrics.t -> now:float -> unit
 val finish : producer -> now:float -> unit
 (** Append the [end] record and close the file. Idempotent. *)
 
+val records : ?scenario:string -> Metrics.t -> now:float -> Json.t list
+(** The [start], [snapshot] and [end] records a producer sampling once
+    at [now] writes, as values (the fuzz harness corrupts them). *)
+
 (** {2 Consuming} *)
 
+type snapshot = { now : float; gauges : (string * float) list }
+(** A {!Metrics.snapshot} document's clock and gauges, in document
+    order; its counters and histograms are checked, not kept. *)
+
 type event =
-  | Start of Json.t  (** the full start record *)
-  | Snapshot of Json.t  (** the metrics snapshot document *)
-  | End of Json.t  (** the full end record *)
+  | Start of { scenario : string option }
+  | Snapshot of snapshot
+  | End of { now : float }  (** the final simulated clock *)
 
 val parse_line : string -> (event, string) result
+(** Decode one record with {!Json.Decode}: strict (unknown, repeated or
+    mistyped members fail), errors name the [$.path]
+    (["monitor: unknown record type \"x\" at $.type"]). A snapshot's
+    [counters], [gauges] and [histograms] may be absent. *)
 
 val follow :
   path:string ->

@@ -93,84 +93,87 @@ let to_json { time; ev } =
   in
   Json.Obj ((("t", Json.Num time) :: ("ev", Json.Str (kind ev)) :: fields))
 
-let of_json json =
-  let ( let* ) r f = Result.bind r f in
-  let field name conv =
-    match Option.bind (Json.member name json) conv with
-    | Some v -> Ok v
-    | None -> Error (Printf.sprintf "trace record: missing or bad field %S" name)
+(* Strict: the members must be exactly the ones {!to_json} emits for the
+   decoded event kind, so re-encoding the record names the known set. *)
+let of_json =
+  let open Json.Decode in
+  let ( let* ) = Result.bind in
+  let decode o =
+    let i name = req o name int and str name = req o name str in
+    let num name = req o name num in
+    let block prefix =
+      let* file = i (prefix ^ "file") in
+      let* index = i (prefix ^ "index") in
+      Ok { file; index }
+    in
+    let* time = num "t" in
+    let* tag = str "ev" in
+    let* ev =
+      match tag with
+      | "cache_hit" ->
+        let* pid = i "pid" in
+        let* block = block "" in
+        Ok (Cache_hit { pid; block })
+      | "cache_miss" ->
+        let* pid = i "pid" in
+        let* block = block "" in
+        let* prefetch = req o "prefetch" bool in
+        Ok (Cache_miss { pid; block; prefetch })
+      | "evict" ->
+        let* victim = block "victim_" in
+        let* owner = i "owner" in
+        let* candidate = block "cand_" in
+        let* policy = str "policy" in
+        let* reason = str "reason" in
+        Ok (Evict { victim; owner; candidate; policy; reason })
+      | "writeback" ->
+        let* block = block "" in
+        Ok (Writeback { block })
+      | "swap" ->
+        let* kept = block "kept_" in
+        let* victim = block "victim_" in
+        Ok (Swap { kept; victim })
+      | "placeholder_created" ->
+        let* replaced = block "replaced_" in
+        let* target = block "target_" in
+        let* chooser = i "chooser" in
+        Ok (Placeholder_created { replaced; target; chooser })
+      | "placeholder_hit" ->
+        let* missing = block "missing_" in
+        let* target = block "target_" in
+        let* chooser = i "chooser" in
+        Ok (Placeholder_hit { missing; target; chooser })
+      | "manager_revoked" ->
+        let* pid = i "pid" in
+        Ok (Manager_revoked { pid })
+      | "disk_io" ->
+        let* disk = str "disk" in
+        let* kind = str "kind" in
+        let* addr = i "addr" in
+        let* blocks = i "blocks" in
+        let* seek = num "seek" in
+        let* rot = num "rot" in
+        let* xfer = num "xfer" in
+        let* wait = num "wait" in
+        Ok (Disk_io { disk; kind; addr; blocks; seek; rot; xfer; wait })
+      | "syscall" ->
+        let* pid = i "pid" in
+        let* op = str "op" in
+        let* detail = str "detail" in
+        Ok (Syscall { pid; op; detail })
+      | "fiber" ->
+        let* name = str "name" in
+        let* op = str "op" in
+        Ok (Fiber { name; op })
+      | tag -> fail (at o "ev") (Printf.sprintf "unknown event %S" tag)
+    in
+    let r = { time; ev } in
+    let* () =
+      match to_json r with Json.Obj m -> known o (List.map fst m) | _ -> Ok ()
+    in
+    Ok r
   in
-  let num name = field name Json.to_num in
-  let i name = field name Json.to_int in
-  let str name = field name Json.to_str in
-  let b name = field name Json.to_bool in
-  let block prefix =
-    let* file = i (prefix ^ "file") in
-    let* index = i (prefix ^ "index") in
-    Ok { file; index }
-  in
-  let* time = num "t" in
-  let* tag = str "ev" in
-  let* ev =
-    match tag with
-    | "cache_hit" ->
-      let* pid = i "pid" in
-      let* block = block "" in
-      Ok (Cache_hit { pid; block })
-    | "cache_miss" ->
-      let* pid = i "pid" in
-      let* block = block "" in
-      let* prefetch = b "prefetch" in
-      Ok (Cache_miss { pid; block; prefetch })
-    | "evict" ->
-      let* victim = block "victim_" in
-      let* owner = i "owner" in
-      let* candidate = block "cand_" in
-      let* policy = str "policy" in
-      let* reason = str "reason" in
-      Ok (Evict { victim; owner; candidate; policy; reason })
-    | "writeback" ->
-      let* block = block "" in
-      Ok (Writeback { block })
-    | "swap" ->
-      let* kept = block "kept_" in
-      let* victim = block "victim_" in
-      Ok (Swap { kept; victim })
-    | "placeholder_created" ->
-      let* replaced = block "replaced_" in
-      let* target = block "target_" in
-      let* chooser = i "chooser" in
-      Ok (Placeholder_created { replaced; target; chooser })
-    | "placeholder_hit" ->
-      let* missing = block "missing_" in
-      let* target = block "target_" in
-      let* chooser = i "chooser" in
-      Ok (Placeholder_hit { missing; target; chooser })
-    | "manager_revoked" ->
-      let* pid = i "pid" in
-      Ok (Manager_revoked { pid })
-    | "disk_io" ->
-      let* disk = str "disk" in
-      let* kind = str "kind" in
-      let* addr = i "addr" in
-      let* blocks = i "blocks" in
-      let* seek = num "seek" in
-      let* rot = num "rot" in
-      let* xfer = num "xfer" in
-      let* wait = num "wait" in
-      Ok (Disk_io { disk; kind; addr; blocks; seek; rot; xfer; wait })
-    | "syscall" ->
-      let* pid = i "pid" in
-      let* op = str "op" in
-      let* detail = str "detail" in
-      Ok (Syscall { pid; op; detail })
-    | "fiber" ->
-      let* name = str "name" in
-      let* op = str "op" in
-      Ok (Fiber { name; op })
-    | tag -> Error (Printf.sprintf "trace record: unknown event %S" tag)
-  in
-  Ok { time; ev }
+  run ~label:"trace record" (obj decode)
 
 (* {2 CSV} *)
 

@@ -59,7 +59,10 @@ val to_json : record -> Json.t
 (** Flat object: [{"t": …, "ev": "…", …fields}]. *)
 
 val of_json : Json.t -> (record, string) result
-(** Inverse of {!to_json}: [of_json (to_json r) = Ok r]. *)
+(** Inverse of {!to_json}: [of_json (to_json r) = Ok r]. Strict, on
+    {!Json.Decode}: a member {!to_json} would not emit for the event
+    kind, a repeated one or a mistyped value is rejected with its
+    [$.path] (["trace record: unknown event \"x\" at $.ev"]). *)
 
 val csv_header : string
 (** Column names for {!to_csv}, comma-separated. *)

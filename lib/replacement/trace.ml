@@ -44,7 +44,8 @@ let zipf ~rng ~file ~blocks ~skew ~length =
   Array.init length (fun _ -> Block.make ~file ~index:(sample ()))
 
 (* The named patterns of [acfc-run policies]: five passes' worth of
-   references over [blocks] blocks (one pass for [sequential]). *)
+   references over [blocks] blocks (one pass for [sequential]).
+   Hot-cold keeps a tenth of them hot, and at least one. *)
 let patterns = [ "cyclic"; "sequential"; "random"; "hot-cold"; "zipf" ]
 
 let pattern ~rng ~blocks = function
@@ -52,7 +53,7 @@ let pattern ~rng ~blocks = function
   | "sequential" -> sequential ~file:0 ~blocks
   | "random" -> random ~rng ~file:0 ~blocks ~length:(5 * blocks)
   | "hot-cold" ->
-    hot_cold ~rng ~hot_file:0 ~hot_blocks:(blocks / 10) ~cold_file:1
+    hot_cold ~rng ~hot_file:0 ~hot_blocks:(max 1 (blocks / 10)) ~cold_file:1
       ~cold_blocks:blocks ~hot_fraction:0.9 ~length:(5 * blocks)
   | "zipf" -> zipf ~rng ~file:0 ~blocks ~skew:1.0 ~length:(5 * blocks)
   | p -> failwith ("unknown trace pattern: " ^ p)

@@ -42,8 +42,9 @@ val patterns : string list
 val pattern : rng:Acfc_sim.Rng.t -> blocks:int -> string -> t
 (** The named synthetic trace of [acfc-run policies] over [blocks]
     blocks: [cyclic] (five passes), [sequential] (one pass), and
-    [random], [hot-cold] (10% hot blocks in file 0 take 90% of the
-    references, the cold ones are in file 1) and [zipf] (skew 1.0),
+    [random], [hot-cold] (10% hot blocks, at least one, in file 0 take
+    90% of the references, the cold ones are in file 1) and [zipf]
+    (skew 1.0),
     each [5 * blocks] long. Raises [Failure] on an unknown name. *)
 
 val concat : t list -> t

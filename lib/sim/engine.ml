@@ -49,7 +49,8 @@ let unstarted : (unit, unit) Effect.Deep.continuation =
    deterministic.
 
    Exposed in the interface for the property tests, which replay random
-   (time, seq) sequences against the generic closure-based {!Heap}. *)
+   (time, seq) sequences against the generic closure-based
+   [Acfc_oracle.Heap]. *)
 module Equeue = struct
   type nonrec job = job = Nop | Thunk of (unit -> unit) | Run of fiber
 

@@ -18,7 +18,7 @@ type fiber
     (time, seq) as parallel arrays — unboxed float times, int seqs and a
     payload column — so pushes and pops allocate nothing. Exposed for
     the property tests, which replay random sequences against the
-    generic {!Heap}. *)
+    generic [Acfc_oracle.Heap] (a test- and bench-only library). *)
 module Equeue : sig
   type job =
     | Nop

@@ -11,29 +11,17 @@ type row = { name : string; points : point list }
 
 let default_threshold = 0.30
 
+(* A row whose ops/sec is null (the bench could not measure a finite
+   rate) has no point to plot. *)
 let of_report j =
-  match Json.member "schema" j with
-  | Some (Json.Str "acfc-bench/1") ->
-    (match Option.bind (Json.member "perf" j) Json.to_list with
-    | None -> Error "timeline: report has no \"perf\" list"
-    | Some rows ->
-      let rec go acc = function
-        | [] -> Ok (List.rev acc)
-        | r :: rest ->
-          (match Option.bind (Json.member "name" r) Json.to_str with
-          | None -> Error "timeline: perf row without a name"
-          | Some name ->
-            let num field = Option.bind (Json.member field r) Json.to_num in
-            (match num "ops_per_sec" with
-            | None -> go acc rest (* no OLS estimate: null in the report *)
-            | Some ops ->
-              let words = Option.value ~default:Float.nan (num "alloc_words_per_op") in
-              go ((name, ops, words) :: acc) rest))
-      in
-      go [] rows)
-  | Some (Json.Str s) ->
-    Error (Printf.sprintf "timeline: unsupported schema %S (expected acfc-bench/1)" s)
-  | _ -> Error "timeline: not an acfc-bench/1 document"
+  Result.map
+    (fun (r : Bench_report.t) ->
+      List.filter_map
+        (fun (p : Bench_report.perf) ->
+          if Float.is_nan p.ops_per_sec then None
+          else Some (p.name, p.ops_per_sec, p.alloc_words_per_op))
+        r.perf)
+    (Bench_report.of_json j)
 
 let scan store =
   let reports = Store.entries store in

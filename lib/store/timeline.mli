@@ -6,7 +6,7 @@
     runs. A {e drop} is a decrease in ops/sec from one stored run to
     the next on the same row; rows whose worst consecutive drop
     exceeds a threshold (default 30%) are regressions, and
-    [bench timeline --gate] turns them into a nonzero exit. *)
+    [bench timeline] fails on them. *)
 
 type point = {
   seq : int;  (** manifest ingestion sequence of the source report *)
@@ -24,9 +24,10 @@ val default_threshold : float
 (** [0.30]. *)
 
 val of_report : Acfc_obs.Json.t -> ((string * float * float) list, string) result
-(** Perf rows of one [acfc-bench/1] document as
-    [(name, ops_per_sec, words_per_op)]; rows without an ops/sec
-    estimate are skipped. Fails on a non-bench or malformed document. *)
+(** Perf rows of one [acfc-bench/1] document ({!Bench_report.of_json})
+    as [(name, ops_per_sec, words_per_op)]; rows whose ops/sec is null
+    are skipped. Fails on a non-bench or malformed document, naming the
+    [$.path]. *)
 
 val scan : Store.t -> (row list, string) result
 (** Build timelines from every readable bench report in the store,

@@ -7,6 +7,9 @@ module Scenario = Acfc_scenario.Scenario
 module Recorder = Acfc_replacement.Recorder
 module Manifest = Acfc_store.Manifest
 module Kind = Acfc_store.Kind
+module Bench_report = Acfc_store.Bench_report
+module Metrics = Acfc_obs.Metrics
+module Trace = Acfc_obs.Trace
 
 type failure = {
   spec_name : string;
@@ -133,9 +136,93 @@ let check_reject p ~mrng ~semantic =
       if names_path e then Ok ()
       else Error ("reject", "diagnostic has no $.path: " ^ e, Some doc))
 
+(* The line formats a run of the program emits, with values drawn from
+   it: one trace record (the event kind rotates with the seed), a
+   metrics registry for the monitor feed, and a bench report. *)
+let trace_record p ~seed =
+  let b = { Trace.file = Wir.file_count p; index = seed }
+  and c = { Trace.file = 0; index = List.length p.Wir.ops } in
+  let events =
+    Trace.
+      [
+        Cache_hit { pid = 0; block = b };
+        Cache_miss { pid = 1; block = b; prefetch = seed mod 2 = 0 };
+        Evict
+          { victim = b; owner = 0; candidate = c; policy = "LRU"; reason = "overrule" };
+        Writeback { block = c };
+        Swap { kept = b; victim = c };
+        Placeholder_created { replaced = b; target = c; chooser = 0 };
+        Placeholder_hit { missing = b; target = c; chooser = 1 };
+        Manager_revoked { pid = 2 };
+        Disk_io
+          {
+            disk = "rz56";
+            kind = "read";
+            addr = seed;
+            blocks = 1;
+            seek = 0.01;
+            rot = 0.005;
+            xfer = 0.001;
+            wait = 0.0;
+          };
+        Syscall { pid = 0; op = "read"; detail = p.Wir.name };
+        Fiber { name = p.Wir.name; op = "spawn" };
+      ]
+  in
+  Trace.to_json
+    {
+      time = float_of_int seed /. 4.0;
+      ev = List.nth events (seed mod List.length events)
+    }
+
+let metrics p =
+  let m = Metrics.create () in
+  Metrics.incr ~by:(List.length p.Wir.ops) (Metrics.counter m "wir.ops");
+  Metrics.gauge m
+    (Metrics.label "fleet.client.hits" [ ("client", "0") ])
+    (fun () -> float_of_int (Wir.file_count p));
+  Metrics.observe (Metrics.histogram m "disk.wait_s") 0.004;
+  m
+
+let bench_report p ~seed =
+  let name = p.Wir.name and hash = Wir.hash p in
+  {
+    Bench_report.quick = true;
+    runs = 1;
+    jobs = 1;
+    artifacts =
+      [
+        {
+          name;
+          wall_s = Float.nan;
+          scenario_hash = Some hash;
+          spec_hash = None;
+          corpus_seed = Some seed;
+        };
+      ];
+    micro = [ { name; ns_per_run = 12.5; r2 = Float.nan } ];
+    perf = [ { name; ops_per_sec = 1e6; alloc_words_per_op = 3.5; ops = seed + 1 } ];
+    tournament =
+      [
+        {
+          family = name;
+          policy = "LRU";
+          corpus_seed = seed;
+          spec_hash = hash;
+          refs = 10;
+          misses = 4;
+          opt_misses = 3;
+          regret = 1;
+          hit_rate = 0.6;
+        };
+      ];
+    total_wall_s = 1.0;
+  }
+
 (* The other strict documents a program travels in: the scenario
-   [Wirgen.scenario] makes of it, its spec, and a store manifest
-   indexing both. Each comes with its codec's decoder. *)
+   [Wirgen.scenario] makes of it, its spec, a store manifest indexing
+   both, and the run's trace, monitor and bench lines. Each comes with
+   its codec's decoder. *)
 let documents spec p ~seed =
   let scenario = Wirgen.scenario spec ~seed ~count:1 in
   let manifest =
@@ -154,11 +241,19 @@ let documents spec p ~seed =
       ]
   in
   let decodes of_json j = Result.map ignore (of_json j) in
+  let monitor j = Result.map ignore (Acfc_obs.Monitor.parse_line (Json.to_string j)) in
   [
     ("scenario", Scenario.to_json scenario, decodes Scenario.of_json);
     ("wirgen spec", Wirgen.to_json spec, decodes Wirgen.of_json);
     ("store manifest", Manifest.to_json manifest, decodes Manifest.of_json);
+    ("trace record", trace_record p ~seed, decodes Trace.of_json);
+    ( "bench report",
+      Bench_report.to_json (bench_report p ~seed),
+      decodes Bench_report.of_json );
   ]
+  @ List.map
+      (fun j -> ("monitor feed record", j, monitor))
+      (Acfc_obs.Monitor.records ~scenario:(Scenario.hash scenario) (metrics p) ~now:1.5)
 
 (* Invariant 4 for any strict document: it decodes as it stands, and
    every {!Mutate.corrupt_tree} mutant is rejected with a path. *)

@@ -17,8 +17,10 @@
       [of_json], each with an error naming a [$.path]. The same holds
       for the other strict formats: the scenario {!Wirgen.scenario}
       makes of each program, the spec itself, a store manifest indexing
-      both, and any given scenario files each decode as they stand and
-      reject every {!Mutate.corrupt_tree} mutant with a [$.path].
+      both, a trace record, the three records of a monitor feed, an
+      [acfc-bench/1] report, and any given scenario files each decode
+      as they stand and reject every {!Mutate.corrupt_tree} mutant with
+      a [$.path].
 
     The same harness runs at two budgets: quick (in [dune runtest],
     seconds) and long (the scheduled CI fuzz job, minutes) — only

@@ -39,8 +39,9 @@ let corrupt ~rng (p : Wir.t) =
 
 (* {2 JSON-level corruption} *)
 
-(* Member names that the scenario, wir, wirgen and store formats type as
-   integers (no format uses one of these names for a float). *)
+(* Member names that the scenario, wir, wirgen, store, trace, monitor
+   and bench formats type as integers (no format uses one of these names
+   for a float). *)
 let int_fields =
   [
     (* acfc-wir/1 *)
@@ -52,7 +53,15 @@ let int_fields =
     "clients"; "shared_files"; "cache_blocks"; "client";
     (* acfc-wirgen/1 ([min, max] pairs) and acfc-store/1 *)
     "files"; "passes"; "seq"; "bytes"; "next_seq";
+    (* trace records, monitor snapshots and acfc-bench/1 reports *)
+    "pid"; "owner"; "chooser"; "addr"; "blocks"; "n"; "runs"; "jobs"; "ops"; "refs";
+    "misses"; "opt_misses"; "regret"; "corpus_seed";
   ]
+
+(* Members holding a map with free keys (a metrics snapshot's name ->
+   value tables): an extra key there is one more metric, not an unknown
+   field. *)
+let map_fields = [ "counters"; "gauges"; "histograms" ]
 
 let set_field k v members =
   List.map (fun (k', v') -> if k' = k then (k, v) else (k', v')) members
@@ -90,7 +99,10 @@ let corrupt_tree ~rng j =
   let member = Rng.int rng 1_000_000 in
   let nth m = List.nth m (member mod List.length m) in
   let on_members f = function Json.Obj m -> Json.Obj (f m) | v -> v in
-  let any_object _ = function Json.Obj _ -> true | _ -> false in
+  let any_object name = function
+    | Json.Obj _ -> not (List.mem name map_fields)
+    | _ -> false
+  in
   let non_empty _ = function Json.Obj (_ :: _) -> true | _ -> false in
   let integer name = function
     | Json.Num x -> Float.is_integer x && List.mem name int_fields
@@ -101,12 +113,19 @@ let corrupt_tree ~rng j =
     match kind with
     | 0 -> None
     | 1 ->
-      (* A value of the wrong type: no field of any format takes null,
-         and none takes both a string and a number. *)
+      (* A value of the wrong type: no field of any format takes both a
+         string and a number, and only bench reports take null, in place
+         of a number or a string. *)
       edit_site ~rng ~is_site:non_empty
         (on_members (fun m ->
              let k, v = nth m in
-             set_field k (match v with Json.Str _ -> Json.Num 5.0 | _ -> Json.Null) m))
+             set_field k
+               (match v with
+               | Json.Str _ -> Json.Num 5.0
+               | Json.Num _ -> Json.Str "5"
+               | Json.Null -> Json.Bool true
+               | Json.Bool _ | Json.List _ | Json.Obj _ -> Json.Null)
+               m))
         j
     | 2 -> edit_site ~rng ~is_site:non_empty (on_members (fun m -> m @ [ nth m ])) j
     | _ ->

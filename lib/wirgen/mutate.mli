@@ -10,7 +10,8 @@
       (by [validate] and [of_json] respectively) with a [$.path] error —
       the harness checks the strict toolchain never lets a broken
       program through silently. {!corrupt_tree} does the same for any
-      strict document: scenarios, wirgen specs and store manifests.
+      strict document: scenarios, wirgen specs, store manifests, trace
+      records, monitor feed records and bench reports.
 
     All mutators draw from the given RNG in a fixed order, so a mutant
     is a pure function of (program, RNG state). *)
@@ -28,10 +29,11 @@ val corrupt : rng:Acfc_sim.Rng.t -> Acfc_wir.Wir.t -> Acfc_wir.Wir.t
 
 val corrupt_tree : rng:Acfc_sim.Rng.t -> Acfc_obs.Json.t -> Acfc_obs.Json.t
 (** A format-agnostic corruption of a document's object tree, at a
-    random object: an unknown field, a member of the wrong type, a
-    repeated member, or a member the formats type as an integer set to
-    [1e19], [-1e19] or [1e300]. Every strict codec must reject the
-    result with a [$.path] error. *)
+    random object: an unknown field (never in a metrics snapshot's
+    name -> value maps, where any key is valid), a member of the wrong
+    type, a repeated member, or a member the formats type as an integer
+    set to [1e19], [-1e19] or [1e300]. Every strict codec must reject
+    the result with a [$.path] error. *)
 
 val corrupt_json : rng:Acfc_sim.Rng.t -> Acfc_obs.Json.t -> Acfc_obs.Json.t
 (** A syntactic corruption of a program's [acfc-wir/1] JSON document:

@@ -285,8 +285,8 @@ let to_json spec =
     ]
 
 let decode_range ~path j =
-  match Option.map (List.map Json.to_int) (Json.to_list j) with
-  | Some [ Some lo; Some hi ] -> Ok (lo, hi)
+  match D.list D.int ~path j with
+  | Ok [ lo; hi ] -> Ok (lo, hi)
   | _ -> D.fail path "expected a [min, max] pair of integers"
 
 (* A map, not a record: its keys are pattern names, and a repeated one

@@ -39,6 +39,7 @@ let () =
          Test_sched_queue.suites;
          Test_store.suites;
          Test_monitor.suites;
+         Test_gate.suites;
          Test_listings.suites;
          Test_golden.suites;
        ])

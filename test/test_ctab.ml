@@ -5,6 +5,7 @@
    All randomness comes from seeded {!Rng}, so failures replay. *)
 
 open Acfc_core
+open Acfc_oracle
 open Tutil
 
 (* {2 Ilist vs Dll: random op sequences over one shared store} *)
@@ -196,12 +197,12 @@ let equeue_model_test ~seed ~ops () =
   let module E = Acfc_sim.Engine.Equeue in
   let leq (ta, sa) (tb, sb) = ta < tb || (ta = tb && sa <= sb) in
   let eq = E.create () in
-  let heap = Acfc_sim.Heap.create ~leq () in
+  let heap = Heap.create ~leq () in
   let popped = ref [] in
   let seq = ref 0 in
   for _ = 1 to ops do
     if (not (E.is_empty eq)) && Acfc_sim.Rng.int rng 3 = 0 then begin
-      let tm, sq = Acfc_sim.Heap.pop_exn heap in
+      let tm, sq = Heap.pop_exn heap in
       chk_float "top_time" tm (E.top_time eq);
       (match E.pop eq with
       | E.Thunk f -> f ()
@@ -218,13 +219,13 @@ let equeue_model_test ~seed ~ops () =
       (* Coarse times force plenty of same-instant ties. *)
       let time = float_of_int (Acfc_sim.Rng.int rng 50) in
       E.push eq ~time ~seq:s (E.Thunk (fun () -> popped := (time, s) :: !popped));
-      Acfc_sim.Heap.push heap (time, s)
+      Heap.push heap (time, s)
     end
   done;
-  chk_int "lengths agree" (Acfc_sim.Heap.length heap) (E.length eq);
+  chk_int "lengths agree" (Heap.length heap) (E.length eq);
   (* Drain: the full remaining order must agree. *)
   while not (E.is_empty eq) do
-    let tm, sq = Acfc_sim.Heap.pop_exn heap in
+    let tm, sq = Heap.pop_exn heap in
     (match E.pop eq with E.Thunk f -> f () | _ -> Alcotest.fail "bad job");
     match !popped with
     | (tm', sq') :: _ ->
@@ -232,7 +233,7 @@ let equeue_model_test ~seed ~ops () =
       chk_int "drain seq" sq sq'
     | [] -> Alcotest.fail "drain recorded nothing"
   done;
-  chk_bool "heap drained too" true (Acfc_sim.Heap.is_empty heap)
+  chk_bool "heap drained too" true (Heap.is_empty heap)
 
 (* {2 Lockstep random-op property: whole columnar cache vs record twin} *)
 

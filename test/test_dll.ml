@@ -1,4 +1,4 @@
-open Acfc_core
+open Acfc_oracle
 open Tutil
 
 let basic_order () =

@@ -1,4 +1,4 @@
-open Acfc_sim
+open Acfc_oracle
 open Tutil
 
 let int_heap () = Heap.create ~leq:(fun (a : int) b -> a <= b) ()

@@ -47,7 +47,7 @@ let test_producer_stream_shape () =
   with_stream (fun path ->
       let sink = null_sink () in
       let metrics = Obs.Sink.metrics sink in
-      let p = Monitor.producer ~path ~info:[ ("scenario", Obs.Json.Str "cafe") ] () in
+      let p = Monitor.producer ~path ~scenario:"cafe" () in
       Monitor.sample p ~metrics ~now:1.0;
       Monitor.sample p ~metrics ~now:2.0;
       Monitor.finish p ~now:2.0;
@@ -66,9 +66,8 @@ let test_producer_stream_shape () =
       match List.rev !events with
       | [ Monitor.Start s; Monitor.Snapshot _; Monitor.Snapshot _; Monitor.End e ] ->
         check Alcotest.(option string) "info lands in the start record" (Some "cafe")
-          (Option.bind (Obs.Json.member "scenario" s) Obs.Json.to_str);
-        check Alcotest.(option (float 1e-9)) "end carries the final clock" (Some 2.0)
-          (Option.bind (Obs.Json.member "now" e) Obs.Json.to_num)
+          s.scenario;
+        check Alcotest.(float 1e-9) "end carries the final clock" 2.0 e.now
       | l -> Alcotest.fail (Printf.sprintf "unexpected stream of %d events" (List.length l)))
 
 (* {2 Follow semantics} *)
@@ -122,7 +121,7 @@ let test_follow_stop_early () =
 let test_tail_live_fleet_run () =
   with_stream (fun path ->
       let scn = Golden_defs.fleet_small () in
-      let producer = Monitor.producer ~path ~info:[ ("scenario", Obs.Json.Str (Scenario.hash scn)) ] () in
+      let producer = Monitor.producer ~path ~scenario:(Scenario.hash scn) () in
       let runner =
         Domain.spawn (fun () ->
             Fleet.run ~jobs:2 ~obs:(null_sink ()) ~monitor:(producer, 5.0) scn)

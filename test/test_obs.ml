@@ -37,12 +37,28 @@ let json_integers_compact () =
   chk_str "zero rendering" "0" (Json.to_string (Json.Num 0.0));
   chk_str "float rendering" "-3.5" (Json.to_string (Json.Num (-3.5)))
 
+(* A plain object lookup, for asserting on documents the code emits. *)
+let member name = function Json.Obj m -> List.assoc_opt name m | _ -> None
+
 let json_accessors () =
-  chk_bool "member" true (Json.member "flag" sample_json = Some (Json.Bool true));
-  chk_bool "missing member" true (Json.member "nope" sample_json = None);
-  chk_bool "to_int" true (Json.to_int (Json.Num 7.0) = Some 7);
-  chk_bool "to_int non-integer" true (Json.to_int (Json.Num 7.5) = None);
-  chk_bool "to_str" true (Json.to_str (Json.Str "s") = Some "s")
+  let module D = Json.Decode in
+  let run d j = D.run ~label:"t" d j in
+  let field name d = run (D.obj (fun o -> D.req o name d)) sample_json in
+  chk_bool "member" true (field "flag" D.bool = Ok true);
+  chk_bool "missing member" true
+    (field "nope" D.bool = Error {|t: missing required field "nope" at $|});
+  chk_bool "int" true (run D.int (Json.Num 7.0) = Ok 7);
+  chk_bool "int non-integer" true (Result.is_error (run D.int (Json.Num 7.5)));
+  chk_bool "int out of range" true (Result.is_error (run D.int (Json.Num 1e19)));
+  chk_bool "str" true (run D.str (Json.Str "s") = Ok "s");
+  chk_bool "nullable" true
+    (run (D.list (D.nullable D.int)) (Json.List [ Json.Null; Json.Num 2.0 ])
+    = Ok [ None; Some 2 ]);
+  chk_bool "assoc" true
+    (run (D.assoc D.num) (Json.Obj [ ("a", Json.Num 1.0) ]) = Ok [ ("a", 1.0) ]);
+  chk_bool "assoc value path" true
+    (run (D.assoc D.num) (Json.Obj [ ("a", Json.Null) ])
+    = Error "t: expected a number at $.a")
 
 let json_rejects_garbage () =
   let bad = [ ""; "{"; "[1,]"; "{\"a\":}"; "tru"; "\"unterminated"; "1 2" ] in
@@ -219,15 +235,15 @@ let snapshot_shape () =
   Metrics.gauge m "g" (fun () -> 1.5);
   Metrics.observe (Metrics.histogram m "h") 0.5;
   let s = Metrics.snapshot m ~now:10.0 in
-  chk_bool "now" true (Json.member "now" s = Some (Json.Num 10.0));
-  (match Json.member "counters" s with
+  chk_bool "now" true (member "now" s = Some (Json.Num 10.0));
+  (match member "counters" s with
   | Some (Json.Obj kvs) ->
     chk_bool "counters sorted" true (List.map fst kvs = [ "a"; "b" ])
   | _ -> Alcotest.fail "no counters section");
-  match Option.bind (Json.member "histograms" s) (Json.member "h") with
+  match Option.bind (member "histograms" s) (member "h") with
   | Some h ->
-    chk_bool "histogram count field" true (Json.member "count" h = Some (Json.Num 1.0));
-    chk_bool "histogram sum field" true (Json.member "sum" h = Some (Json.Num 0.5))
+    chk_bool "histogram count field" true (member "count" h = Some (Json.Num 1.0));
+    chk_bool "histogram sum field" true (member "sum" h = Some (Json.Num 0.5))
   | None -> Alcotest.fail "no histogram section"
 
 (* {2 A full instrumented run} *)

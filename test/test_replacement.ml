@@ -304,6 +304,30 @@ let miss_ratio () =
   let r = run_policy (module Cores.Lru) ~capacity:8 t in
   chk_float "ratio" 0.5 (Policy_sim.miss_ratio r)
 
+(* Every named pattern builds at tiny working sets, and every block it
+   names lies inside the pattern's files. *)
+let patterns_at_small_sizes () =
+  List.iter
+    (fun pattern ->
+      for blocks = 1 to 12 do
+        let rng = Acfc_sim.Rng.create blocks in
+        match Trace.pattern ~rng ~blocks pattern with
+        | exception e ->
+          Alcotest.failf "%s at %d blocks raised %s" pattern blocks (Printexc.to_string e)
+        | t ->
+          chk_bool
+            (Printf.sprintf "%s at %d blocks is non-empty" pattern blocks)
+            true
+            (Array.length t > 0);
+          Array.iter
+            (fun b ->
+              if Block.index b < 0 || Block.index b >= blocks then
+                Alcotest.failf "%s at %d blocks names index %d" pattern blocks
+                  (Block.index b))
+            t
+      done)
+    Trace.patterns
+
 let suites =
   [
     ( "replacement: traces",
@@ -314,6 +338,7 @@ let suites =
         case "hot/cold mix" hot_cold_mix;
         case "zipf skew" zipf_skew;
         interleave_preserves_order;
+        case "every pattern at blocks 1-12" patterns_at_small_sizes;
       ] );
     ( "replacement: policies",
       [

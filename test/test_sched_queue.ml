@@ -4,6 +4,7 @@
 
 open Tutil
 module Sq = Acfc_disk.Sched_queue
+module Sched_naive = Acfc_oracle.Sched_naive
 
 (* A step either enqueues a waiter for an address or frees the drive at
    a head position and dispatches. Addresses are drawn from a small
@@ -18,7 +19,7 @@ let steps_gen =
 
 let agree discipline steps =
   let indexed = Sq.create discipline in
-  let naive = Sq.Naive.create discipline in
+  let naive = Sched_naive.create discipline in
   let next_id = ref 0 in
   List.for_all
     (fun step ->
@@ -27,13 +28,13 @@ let agree discipline steps =
         let id = !next_id in
         incr next_id;
         Sq.add indexed ~addr id;
-        Sq.Naive.add naive ~addr id;
-        Sq.length indexed = Sq.Naive.length naive
+        Sched_naive.add naive ~addr id;
+        Sq.length indexed = Sched_naive.length naive
       | Pick head ->
-        let a = Sq.pick indexed ~head and b = Sq.Naive.pick naive ~head in
+        let a = Sq.pick indexed ~head and b = Sched_naive.pick naive ~head in
         a = b
-        && Sq.length indexed = Sq.Naive.length naive
-        && Sq.sweep_up indexed = Sq.Naive.sweep_up naive)
+        && Sq.length indexed = Sched_naive.length naive
+        && Sq.sweep_up indexed = Sched_naive.sweep_up naive)
     steps
 
 let fcfs_agrees =
@@ -48,12 +49,12 @@ let drain_identical () =
   List.iter
     (fun discipline ->
       let indexed = Sq.create discipline in
-      let naive = Sq.Naive.create discipline in
+      let naive = Sched_naive.create discipline in
       let addrs = [ 30; 5; 30; 17; 99; 0; 42; 30; 5; 64 ] in
       List.iteri
         (fun id addr ->
           Sq.add indexed ~addr id;
-          Sq.Naive.add naive ~addr id)
+          Sched_naive.add naive ~addr id)
         addrs;
       let drain pick =
         let rec go acc head =
@@ -64,7 +65,7 @@ let drain_identical () =
         go [] 20
       in
       let a = drain (fun ~head -> Sq.pick indexed ~head) in
-      let b = drain (fun ~head -> Sq.Naive.pick naive ~head) in
+      let b = drain (fun ~head -> Sched_naive.pick naive ~head) in
       check
         Alcotest.(list int)
         "drain order identical" b a;
